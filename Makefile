@@ -6,7 +6,7 @@
         protocol-baseline scale-smoke scale-baseline \
         pageload-smoke pageload-baseline pageload-bench \
         timeline-smoke timeline-baseline \
-        store-pipeline-smoke store-bench store-bench-baseline
+        store-pipeline-smoke store-bench store-bench-baseline bench-test
 
 build:
 	cargo build --workspace --release
@@ -47,7 +47,16 @@ verify: ci
 ci: fmt-check clippy
 	cargo build --workspace --release --offline
 	cargo test --workspace -q
+	$(MAKE) bench-test
 	$(MAKE) perf-smoke
+
+# The benchmark package's own tests (benchmark/ is a separate cargo
+# workspace, so `cargo test --workspace` never reaches them): the metric
+# catalogue, METRICS.md and BENCHMARK.json must agree, every workload's
+# output checks must pass at a small scale, and exact counters and digests
+# must not depend on the worker-thread count.
+bench-test:
+	cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 fmt-check:
 	cargo fmt --all -- --check

@@ -35,6 +35,10 @@ impl HeadlineCis {
 }
 
 /// Compute 95% bootstrap CIs for the headline medians.
+///
+/// The three intervals are independent, each with its own seed, so DoH1's
+/// is computed on a scoped thread while DoHR's and then Do53's are computed
+/// on the caller; the result does not depend on scheduling.
 pub fn headline_cis(ds: &Dataset, seed: u64) -> Option<HeadlineCis> {
     let mut doh1 = Vec::new();
     let mut dohr = Vec::new();
@@ -48,10 +52,19 @@ pub fn headline_cis(ds: &Dataset, seed: u64) -> Option<HeadlineCis> {
             do53.push(v);
         }
     }
+    let (doh1, dohr, do53) = std::thread::scope(|scope| {
+        let doh1 = scope.spawn(|| median_ci(&doh1, 0.95, seed));
+        let dohr = median_ci(&dohr, 0.95, seed.wrapping_add(1));
+        let do53 = median_ci(&do53, 0.95, seed.wrapping_add(2));
+        let doh1 = doh1
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (doh1, dohr, do53)
+    });
     Some(HeadlineCis {
-        doh1: median_ci(&doh1, 0.95, seed)?,
-        dohr: median_ci(&dohr, 0.95, seed.wrapping_add(1))?,
-        do53: median_ci(&do53, 0.95, seed.wrapping_add(2))?,
+        doh1: doh1?,
+        dohr: dohr?,
+        do53: do53?,
     })
 }
 
@@ -117,6 +130,36 @@ mod tests {
         let cis = headline_cis(shared_dataset(), 11).unwrap();
         assert!(cis.dohr.estimate < cis.doh1.estimate);
         assert!(cis.dohr.estimate > cis.do53.estimate);
+    }
+
+    /// The exact `to_bits()` of all nine interval values on the shared
+    /// dataset, captured from the sort-per-resample implementation: a
+    /// faster kernel must reproduce the old intervals bit for bit.
+    #[test]
+    fn headline_cis_bits_are_pinned() {
+        let cis = headline_cis(shared_dataset(), 11).unwrap();
+        let pinned = [
+            (
+                cis.doh1,
+                [0x407c21f6a619da9e, 0x407bdd07ce4572d1, 0x407c642db61bb05e],
+            ),
+            (
+                cis.dohr,
+                [0x407239b9ee88df38, 0x40721336049ecb32, 0x40726c41aceb85f6],
+            ),
+            (
+                cis.do53,
+                [0x406a719d80e496ee, 0x406a1591a3245cd7, 0x406ad218ae45f909],
+            ),
+        ];
+        for (ci, bits) in pinned {
+            assert_eq!(
+                [ci.estimate, ci.lo, ci.hi].map(f64::to_bits),
+                bits,
+                "{ci:?}"
+            );
+            assert_eq!(ci.level, 0.95);
+        }
     }
 
     #[test]

@@ -38,15 +38,38 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    let ranks = QuantileRanks::new(sorted.len(), q);
+    ranks.blend(sorted[ranks.lo], sorted[ranks.hi])
+}
+
+/// Where a type-7 quantile of `n > 0` sorted values reads: the two
+/// (0-based) order statistics and the interpolation weight of the upper.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QuantileRanks {
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+    frac: f64,
+}
+
+impl QuantileRanks {
+    pub(crate) fn new(n: usize, q: f64) -> Self {
+        let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
+        let lo = pos.floor() as usize;
+        QuantileRanks {
+            lo,
+            hi: pos.ceil() as usize,
+            frac: pos - lo as f64,
+        }
+    }
+
+    /// The quantile, given the values of the order statistics at `lo`
+    /// and `hi`.
+    pub(crate) fn blend(&self, lo_v: f64, hi_v: f64) -> f64 {
+        if self.lo == self.hi {
+            lo_v
+        } else {
+            lo_v * (1.0 - self.frac) + hi_v * self.frac
+        }
     }
 }
 

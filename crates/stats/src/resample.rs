@@ -4,7 +4,26 @@
 //! percentile-bootstrap confidence intervals on medians and other
 //! statistics, with a deterministic internal PRNG (xorshift) so reports
 //! are reproducible without threading an RNG through the analyses.
+//!
+//! [`bootstrap_ci`] is the generic path: it copies each resample into a
+//! buffer and applies the statistic, which for a median means a full sort
+//! per resample. [`median_ci`] gets the same interval from a **rank-count
+//! kernel**. It stable-sorts the sample once, recording each value's rank.
+//! For every resample it draws the same `n` indices from the same
+//! xorshift stream, in the same order, but only counts how often each rank
+//! was drawn. The k-th order statistic of the resample is then
+//! `sorted[r]` for the first rank `r` whose running count exceeds `k`, and
+//! the median blends the two order statistics `desc::quantile_sorted`
+//! reads with its own formula. Every value is the same f64, so the
+//! interval is bit-identical. Each resample costs O(n), with no sort and
+//! no f64 buffer; the draw loop, one xorshift step and one modulo per
+//! index, is the floor. The index stream must stay as it is: a different
+//! range reduction would draw other indices and move the interval. The
+//! one case rank counts cannot see is a sample holding both signed zeros,
+//! whose tied order statistic takes its sign from the draw order; such
+//! samples take the generic path.
 
+use crate::desc::QuantileRanks;
 use serde::{Deserialize, Serialize};
 
 /// A two-sided confidence interval around a point estimate.
@@ -46,19 +65,67 @@ pub fn bootstrap_ci<F>(
 where
     F: Fn(&[f64]) -> f64,
 {
+    percentile_bootstrap(xs, level, resamples, seed, || {
+        let statistic = &statistic;
+        let mut buffer = vec![0.0; xs.len()];
+        let resample = move |rng: &mut XorShift| {
+            for slot in buffer.iter_mut() {
+                *slot = xs[rng.next_index(xs.len())];
+            }
+            statistic(&buffer)
+        };
+        (statistic(xs), resample)
+    })
+}
+
+/// Resamples behind every [`median_ci`].
+const MEDIAN_RESAMPLES: usize = 1000;
+
+/// Bootstrap CI for the median — the workhorse for latency summaries.
+///
+/// Bit-identical to `bootstrap_ci(xs, desc::median, 1000, level, seed)`,
+/// computed with the rank-count kernel (module docs) in O(n) per resample.
+pub fn median_ci(xs: &[f64], level: f64, seed: u64) -> Option<ConfidenceInterval> {
+    // A stable sort keeps equal values in draw order, so when both signed
+    // zeros are present the bits of a tied order statistic depend on which
+    // zero was drawn first — something rank counts cannot see. Such samples
+    // (and any too long for u32 counts) take the generic path.
+    let mixed_zeros = xs.iter().any(|x| x.to_bits() == 0.0f64.to_bits())
+        && xs.iter().any(|x| x.to_bits() == (-0.0f64).to_bits());
+    if mixed_zeros || u32::try_from(xs.len()).is_err() {
+        return bootstrap_ci(xs, crate::desc::median, MEDIAN_RESAMPLES, level, seed);
+    }
+    percentile_bootstrap(xs, level, MEDIAN_RESAMPLES, seed, || {
+        let mut kernel = RankCounts::new(xs);
+        let estimate = kernel.median_of_sample();
+        (estimate, move |rng: &mut XorShift| {
+            kernel.resample_median(rng)
+        })
+    })
+}
+
+/// The percentile bootstrap shared by [`bootstrap_ci`] and [`median_ci`]:
+/// validate the input, then let `prepare` build the statistic on the
+/// original sample and a resampler that draws one resample from the
+/// stream and returns its statistic. The interval is the `(1 ± level)/2`
+/// type-7 quantiles of the resampled statistics.
+fn percentile_bootstrap<P, R>(
+    xs: &[f64],
+    level: f64,
+    resamples: usize,
+    seed: u64,
+    prepare: P,
+) -> Option<ConfidenceInterval>
+where
+    P: FnOnce() -> (f64, R),
+    R: FnMut(&mut XorShift) -> f64,
+{
     if xs.is_empty() || !(0.0..1.0).contains(&level) {
         return None;
     }
-    let estimate = statistic(xs);
+    let (estimate, mut resample) = prepare();
     let mut rng = XorShift::new(seed ^ 0x9E3779B97F4A7C15);
-    let mut stats = Vec::with_capacity(resamples);
-    let mut buffer = vec![0.0; xs.len()];
-    for _ in 0..resamples.max(1) {
-        for slot in buffer.iter_mut() {
-            *slot = xs[rng.next_index(xs.len())];
-        }
-        stats.push(statistic(&buffer));
-    }
+    let mut stats: Vec<f64> = (0..resamples.max(1)).map(|_| resample(&mut rng)).collect();
     stats.sort_by(|a, b| a.partial_cmp(b).expect("finite statistic"));
     let alpha = (1.0 - level) / 2.0;
     let lo = crate::desc::quantile_sorted(&stats, alpha);
@@ -71,9 +138,72 @@ where
     })
 }
 
-/// Bootstrap CI for the median — the workhorse for latency summaries.
-pub fn median_ci(xs: &[f64], level: f64, seed: u64) -> Option<ConfidenceInterval> {
-    bootstrap_ci(xs, crate::desc::median, 1000, level, seed)
+/// The rank-count median kernel: the sample sorted once, each value's
+/// rank in that order, and a reusable per-rank tally of one resample.
+struct RankCounts {
+    /// `rank[i]`: position of `xs[i]` in the stable sort of `xs`.
+    rank: Vec<u32>,
+    /// `xs` in stable-sorted order.
+    sorted: Vec<f64>,
+    /// `counts[r]`: copies of `sorted[r]` in the current resample.
+    counts: Vec<u32>,
+    /// The order statistics the median interpolates.
+    median: QuantileRanks,
+}
+
+impl RankCounts {
+    /// Argsort `xs`, whose length must fit in a `u32`, once. Panics on
+    /// NaN, like [`crate::desc::median`].
+    fn new(xs: &[f64]) -> Self {
+        let n = xs.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| {
+            xs[a as usize]
+                .partial_cmp(&xs[b as usize])
+                .expect("NaN in quantile input")
+        });
+        let mut rank = vec![0u32; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        let sorted = order.iter().map(|&i| xs[i as usize]).collect();
+        RankCounts {
+            rank,
+            sorted,
+            counts: vec![0; n],
+            median: QuantileRanks::new(n, 0.5),
+        }
+    }
+
+    /// The median of the sample itself.
+    fn median_of_sample(&self) -> f64 {
+        let m = self.median;
+        m.blend(self.sorted[m.lo], self.sorted[m.hi])
+    }
+
+    /// Draw one resample — the same `n` indices, in the same order, that
+    /// [`bootstrap_ci`] copies into its buffer — and return its median.
+    fn resample_median(&mut self, rng: &mut XorShift) -> f64 {
+        let n = self.rank.len();
+        self.counts.fill(0);
+        for _ in 0..n {
+            self.counts[self.rank[rng.next_index(n)] as usize] += 1;
+        }
+        // The k-th order statistic of the resample is `sorted[r]` for the
+        // first rank `r` whose running count exceeds `k`.
+        let (mut r, mut below) = (0, 0usize);
+        let mut order_statistic = |k: usize| {
+            while below + self.counts[r] as usize <= k {
+                below += self.counts[r] as usize;
+                r += 1;
+            }
+            self.sorted[r]
+        };
+        let m = self.median;
+        let lo_v = order_statistic(m.lo);
+        let hi_v = order_statistic(m.hi);
+        m.blend(lo_v, hi_v)
+    }
 }
 
 /// Spearman rank correlation between two equal-length samples.

@@ -1,6 +1,7 @@
 //! Property-based tests for the statistics substrate.
 
 use dohperf_stats::prelude::*;
+use dohperf_stats::resample::{bootstrap_ci, median_ci, ConfidenceInterval};
 use proptest::prelude::*;
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -104,5 +105,60 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Samples for the bootstrap equivalence check: continuous values, or
+/// heavy ties drawn from the first one to five values of a palette — the
+/// second palette mixes the two signed zeros, which `median_ci` hands to
+/// the generic path.
+fn bootstrap_sample() -> impl Strategy<Value = Vec<f64>> {
+    const PALETTES: [[f64; 5]; 2] = [[3.0, 1.0, 2.5, 1e6, -4.0], [0.0, -0.0, 7.25, -2.0, 0.0]];
+    prop_oneof![
+        finite_vec(1..401),
+        (
+            0usize..2,
+            proptest::collection::vec(0usize..5, 1..401),
+            1usize..6,
+        )
+            .prop_map(|(palette, picks, width)| {
+                picks
+                    .iter()
+                    .map(|&p| PALETTES[palette][p % width])
+                    .collect()
+            }),
+    ]
+}
+
+fn ci_bits(ci: Option<ConfidenceInterval>) -> Option<[u64; 4]> {
+    ci.map(|ci| [ci.estimate, ci.lo, ci.hi, ci.level].map(f64::to_bits))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The rank-count `median_ci` is bit-identical to the generic
+    /// sort-per-resample bootstrap of the median it replaces.
+    #[test]
+    fn median_ci_matches_generic_bootstrap(
+        xs in bootstrap_sample(),
+        level in prop_oneof![Just(0.90), Just(0.95), Just(0.99)],
+        seed in any::<u64>(),
+    ) {
+        let fast = median_ci(&xs, level, seed);
+        prop_assert!(fast.is_some());
+        prop_assert_eq!(ci_bits(fast), ci_bits(bootstrap_ci(&xs, median, 1000, level, seed)));
+    }
+
+    /// Both paths reject empty input and levels outside [0, 1) alike.
+    #[test]
+    fn median_ci_rejects_what_bootstrap_rejects(
+        xs in prop_oneof![Just(Vec::new()), finite_vec(1..20)],
+        level in prop_oneof![Just(1.0), Just(1.5), Just(-0.05), Just(f64::NAN), 0.0f64..1.0],
+        seed in any::<u64>(),
+    ) {
+        let fast = median_ci(&xs, level, seed);
+        prop_assert_eq!(fast.is_none(), xs.is_empty() || !(0.0..1.0).contains(&level));
+        prop_assert_eq!(ci_bits(fast), ci_bits(bootstrap_ci(&xs, median, 1000, level, seed)));
     }
 }

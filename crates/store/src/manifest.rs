@@ -61,14 +61,7 @@ impl Manifest {
         put_u64(&mut payload, self.total_chunks);
         put_u64(&mut payload, self.total_bytes);
 
-        let mut out = Vec::with_capacity(16 + payload.len());
-        out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        out.extend_from_slice(&crate::FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame(&payload)
     }
 
     /// Parse a manifest previously written by [`Manifest::encode`].
@@ -109,21 +102,25 @@ impl Manifest {
             )));
         }
 
+        // Every count is capped by what the remaining bytes could hold at
+        // the item's minimum encoded width, so a tiny manifest cannot make
+        // the decoder reserve memory for items it does not contain.
         let mut c = Cursor::new(payload, "manifest");
-        let n_countries = c.len(1 << 16, "country table")?;
+        let n_countries = c.len((1 << 16).min(c.remaining() / 2), "country table")?;
         let mut countries = Vec::with_capacity(n_countries);
         for _ in 0..n_countries {
             let b = c.take(2, "country ISO")?;
             countries.push([b[0], b[1]]);
         }
-        let n_atlas = c.len(n_countries.max(1), "atlas table")?;
+        // An atlas entry is at least a one-byte index and a one-byte count.
+        let n_atlas = c.len(n_countries.max(1).min(c.remaining() / 2), "atlas table")?;
         let mut atlas_do53_ms = Vec::with_capacity(n_atlas);
         for _ in 0..n_atlas {
             let idx = c.u64()?;
             let idx = u32::try_from(idx).map_err(|_| {
                 StoreError::Corrupt(format!("manifest: atlas country index {idx} overflows u32"))
             })?;
-            let n_samples = c.len(1 << 24, "atlas samples")?;
+            let n_samples = c.len((1 << 24).min(c.remaining() / 8), "atlas samples")?;
             let mut samples = Vec::with_capacity(n_samples);
             for _ in 0..n_samples {
                 samples.push(c.f64()?);
@@ -143,6 +140,19 @@ impl Manifest {
         c.expect_empty()?;
         Ok(manifest)
     }
+}
+
+/// Wrap a manifest payload in its header: magic, version, reserved,
+/// payload length and CRC-32.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + payload.len());
+    out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+    out.extend_from_slice(&crate::FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
 #[cfg(test)]
@@ -190,5 +200,36 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         let err = Manifest::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains("disagrees with file size"), "{err}");
+    }
+
+    /// A checksummed manifest of a few bytes that claims the maximum
+    /// sample count is rejected by the count cap, before any reservation.
+    #[test]
+    fn oversized_sample_count_is_rejected_before_reserving() {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        payload.extend_from_slice(b"BR");
+        put_u64(&mut payload, 1);
+        put_u64(&mut payload, 0);
+        put_u64(&mut payload, 1 << 24);
+        let bytes = frame(&payload);
+        assert!(bytes.len() < 32, "{} bytes", bytes.len());
+        let err = Manifest::decode(&bytes).unwrap_err().to_string();
+        assert!(
+            err.contains("atlas samples length 16777216 exceeds cap"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn oversized_country_count_is_rejected_before_reserving() {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1 << 16);
+        payload.extend_from_slice(b"BR");
+        let err = Manifest::decode(&frame(&payload)).unwrap_err().to_string();
+        assert!(
+            err.contains("country table length 65536 exceeds cap"),
+            "{err}"
+        );
     }
 }

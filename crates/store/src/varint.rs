@@ -187,6 +187,11 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
     /// Whether every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.bytes.len()
