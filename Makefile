@@ -5,8 +5,7 @@
         trace-smoke golden-trace alloc-smoke protocol-matrix \
         protocol-baseline scale-smoke scale-baseline \
         pageload-smoke pageload-baseline pageload-bench \
-        timeline-smoke timeline-baseline \
-        store-pipeline-smoke store-bench store-bench-baseline bench-test
+        timeline-smoke timeline-baseline bench-test
 
 build:
 	cargo build --workspace --release
@@ -29,21 +28,20 @@ repro-full:
 	cargo run --release -p dohperf-bench --bin repro -- --scale 1.0 all
 
 # Full gate: release build, the whole test suite, the determinism check
-# that 1-worker and multi-worker campaigns serialize identically, the
-# store round-trip check, and the same lint + perf-smoke jobs CI runs.
+# that 1-worker and multi-worker campaigns serialize identically, and
+# every smoke gate CI runs (each CI job calls the target of its name).
 verify: ci
 	cargo test --release -p dohperf --test integration_parallel -- thread_count_is_invisible
 	$(MAKE) store-roundtrip
-	$(MAKE) store-pipeline-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) protocol-matrix
 	$(MAKE) pageload-smoke
 	$(MAKE) timeline-smoke
 	$(MAKE) alloc-smoke
 	$(MAKE) scale-smoke
-	$(MAKE) store-bench
 
-# Mirror of .github/workflows/ci.yml, runnable locally and offline.
+# The build, test, lint, benchmark-test and perf-smoke jobs of
+# .github/workflows/ci.yml, runnable locally and offline.
 ci: fmt-check clippy
 	cargo build --workspace --release --offline
 	cargo test --workspace -q
@@ -244,12 +242,15 @@ trace-smoke:
 # (`alloc.steady_state_allocs` in ci/baseline-metrics.json pins the same
 # contract on the perf-smoke metrics diff.) The throughput + allocs/query
 # report lands in target/ci/alloc.json; the committed before/after record
-# is BENCH_alloc.json.
+# is BENCH_alloc.json. The same build also checks that crafted chunk
+# streams (a forged record count, a missing payload) fail without
+# allocating more than 64 bytes per input byte.
 alloc-smoke:
 	mkdir -p target/ci
 	cargo run --release -p dohperf-bench --features alloc-count \
 	    --bin alloc_check -- --pages 2 --out target/ci/alloc.json
 	cargo test --release -p dohperf --features alloc-count --test integration_alloc
+	cargo test --release -p dohperf --features alloc-count --test integration_decode_alloc
 
 # Regenerate the golden traces after an intentional instrumentation change.
 golden-trace:
@@ -263,70 +264,40 @@ golden-trace:
 	    --seed 2021 --scale 0.02 --threads 2 --pages 2 \
 	    --trace-out ci/golden-trace-pageload.json --trace-sample 128 pageload > /dev/null
 
-# Write a quick-scale campaign to a store, re-derive the headline from it
-# with --from-store, and require the two outputs to be identical.
+# Store round-trip and thread invariance (DESIGN.md §10, §17). Writes a
+# quick-scale campaign store at the default, 1 and 8 worker threads and
+# requires identical records.chunks/manifest.bin and direct reports;
+# then re-derives the headline from the store with --from-store at the
+# default, 1 and 8 decode threads and requires every report to match
+# the direct one byte for byte.
+RT := target/ci/roundtrip
+
 store-roundtrip:
-	rm -rf target/ci/roundtrip
-	mkdir -p target/ci/roundtrip
+	rm -rf $(RT)
+	mkdir -p $(RT)
 	cargo run --release -p dohperf-bench --bin repro -- \
 	    --seed 2021 --scale 0.05 --out-format store \
-	    --store-dir target/ci/roundtrip/store headline \
-	    > target/ci/roundtrip/direct.txt
+	    --store-dir $(RT)/store headline > $(RT)/direct.txt
+	for t in 1 8; do \
+	    cargo run --release -p dohperf-bench --bin repro -- \
+	        --seed 2021 --scale 0.05 --threads $$t --out-format store \
+	        --store-dir $(RT)/store-t$$t headline > $(RT)/direct-t$$t.txt || exit 1; \
+	    cmp $(RT)/store/records.chunks $(RT)/store-t$$t/records.chunks || exit 1; \
+	    cmp $(RT)/store/manifest.bin $(RT)/store-t$$t/manifest.bin || exit 1; \
+	    cmp $(RT)/direct.txt $(RT)/direct-t$$t.txt || exit 1; \
+	done
 	cargo run --release -p dohperf-bench --bin repro -- \
-	    --seed 2021 --scale 0.05 --from-store target/ci/roundtrip/store headline \
-	    > target/ci/roundtrip/restored.txt
-	cmp target/ci/roundtrip/direct.txt target/ci/roundtrip/restored.txt
-	@echo "store round-trip OK: --from-store reproduced the headline byte-for-byte"
-
-# Pipelined store I/O gate (DESIGN.md §17): the off-thread encoder and
-# the parallel decoder must be invisible in every byte. Writes the same
-# campaign store at 1 and 8 worker threads (both through the encoder
-# pool), requires identical records.chunks/manifest.bin, then re-derives
-# the headline from the store at --threads 1 and --threads 8 and
-# requires identical report bytes.
-store-pipeline-smoke:
-	rm -rf target/ci/pipeline
-	mkdir -p target/ci/pipeline
-	cargo run --release -p dohperf-bench --bin repro -- \
-	    --seed 2021 --scale 0.05 --threads 1 --out-format store \
-	    --store-dir target/ci/pipeline/store-t1 headline \
-	    > target/ci/pipeline/direct.txt
-	cargo run --release -p dohperf-bench --bin repro -- \
-	    --seed 2021 --scale 0.05 --threads 8 --out-format store \
-	    --store-dir target/ci/pipeline/store-t8 headline > /dev/null
-	cmp target/ci/pipeline/store-t1/records.chunks target/ci/pipeline/store-t8/records.chunks
-	cmp target/ci/pipeline/store-t1/manifest.bin target/ci/pipeline/store-t8/manifest.bin
-	cargo run --release -p dohperf-bench --bin repro -- \
-	    --seed 2021 --scale 0.05 --threads 1 \
-	    --from-store target/ci/pipeline/store-t1 headline \
-	    > target/ci/pipeline/restored-t1.txt
-	cargo run --release -p dohperf-bench --bin repro -- \
-	    --seed 2021 --scale 0.05 --threads 8 \
-	    --from-store target/ci/pipeline/store-t1 headline \
-	    > target/ci/pipeline/restored-t8.txt
-	cmp target/ci/pipeline/direct.txt target/ci/pipeline/restored-t1.txt
-	cmp target/ci/pipeline/restored-t1.txt target/ci/pipeline/restored-t8.txt
-	rm -rf target/ci/pipeline
-	@echo "store pipeline OK: encoder pool and parallel decode are byte-invisible"
-
-# Store-throughput trajectory (DESIGN.md §17): times the scalar
-# reference codec, the block-kernel writer, the pipelined writer, and
-# the serial/parallel decoders over a scale-0.25 campaign corpus, and
-# gates regression-only against ci/baseline-store.json (exit 3 on
-# drift; the band is wide because wall clock varies across machines).
-# The measured report lands in target/ci/store.json; the committed
-# trajectory is BENCH_store.json.
-store-bench:
-	mkdir -p target/ci
-	cargo run --release -p dohperf-bench --bin store_bench -- \
-	    --seed 2021 --scale 0.25 \
-	    --baseline ci/baseline-store.json --tolerance 0.5 \
-	    --out target/ci/store.json
-
-# Regenerate the store-throughput baseline after an intentional change.
-store-bench-baseline:
-	cargo run --release -p dohperf-bench --bin store_bench -- \
-	    --seed 2021 --scale 0.25 --out ci/baseline-store.json
+	    --seed 2021 --scale 0.05 --from-store $(RT)/store headline \
+	    > $(RT)/restored.txt
+	cmp $(RT)/direct.txt $(RT)/restored.txt
+	for t in 1 8; do \
+	    cargo run --release -p dohperf-bench --bin repro -- \
+	        --seed 2021 --scale 0.05 --threads $$t \
+	        --from-store $(RT)/store headline > $(RT)/restored-t$$t.txt || exit 1; \
+	    cmp $(RT)/direct.txt $(RT)/restored-t$$t.txt || exit 1; \
+	done
+	rm -rf $(RT)
+	@echo "store round-trip OK: store bytes and --from-store reports match at threads 1, 8 and default"
 
 examples:
 	cargo run --release --example quickstart

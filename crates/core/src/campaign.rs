@@ -422,7 +422,7 @@ impl Campaign {
         let mut records = Vec::new();
         let mut discarded = 0usize;
         let mut atlas_do53_ms = Vec::new();
-        let mut metrics = CountryMetrics::new(&plan);
+        let mut metrics = CountryMetrics::default();
         for (spec, (range_records, outcome)) in shards.iter().zip(results) {
             metrics.push(spec, &outcome);
             records.extend(range_records);
@@ -436,7 +436,6 @@ impl Campaign {
         let (observed_ases, observed_resolvers) =
             observed_infrastructure(records.len(), plan.country_list.len());
 
-        warn_on_dropped_trace_events();
         Dataset {
             records,
             countries: plan.countries,
@@ -467,35 +466,13 @@ impl Campaign {
     /// any [`CampaignConfig::shard_size`] value — the same contract
     /// [`Campaign::run`] gives for the in-memory dataset.
     ///
-    /// Chunk encoding + CRC run on a background
-    /// [`dohperf_store::EncoderPool`] sized by
-    /// [`dohperf_store::PipelineConfig::auto`]; use
-    /// [`Campaign::run_to_store_with`] to pin the pool shape. The
-    /// encoded bytes are identical either way.
+    /// Each shard writer encodes its chunks inline on the simulation
+    /// worker that runs the shard. The per-run `store.encode_ms` gauge
+    /// publishes the encode time summed across all shard writers.
     pub fn run_to_store(
         &self,
         dir: &Path,
         chunk_budget: usize,
-    ) -> dohperf_store::Result<StoreRunSummary> {
-        self.run_to_store_with(dir, chunk_budget, dohperf_store::PipelineConfig::auto())
-    }
-
-    /// [`Campaign::run_to_store`] with an explicit encoder-pipeline
-    /// shape. `pipeline.workers == 0` encodes inline on the simulation
-    /// workers (the pre-pipeline behaviour); any worker/queue-depth
-    /// combination produces byte-identical store files — the pipeline
-    /// reassembles chunks in submission order per shard and the shard
-    /// spill files merge in canonical order regardless.
-    ///
-    /// Publishes per-run gauges after the merge: `store.encode_ms`
-    /// (wall-clock summed across encoder threads), `store.encoder_workers`,
-    /// and `store.encoder_queue_depth` (peak submitted-but-unwritten
-    /// chunks across any shard writer).
-    pub fn run_to_store_with(
-        &self,
-        dir: &Path,
-        chunk_budget: usize,
-        pipeline: dohperf_store::PipelineConfig,
     ) -> dohperf_store::Result<StoreRunSummary> {
         let plan = {
             let _phase = phases::phase("topology-build");
@@ -518,7 +495,6 @@ impl Campaign {
         std::fs::create_dir_all(&shards_dir)?;
 
         let _simulate_phase = phases::phase("simulate");
-        let pool = dohperf_store::EncoderPool::new(pipeline);
         let spill_path =
             |i: usize| -> std::path::PathBuf { shards_dir.join(format!("shard-{i:05}.chunks")) };
         let results = self.run_sharded(&plan, &shards, |i| {
@@ -526,7 +502,7 @@ impl Campaign {
             let result: dohperf_store::Result<StoreShard> = (|| {
                 let file = BufWriter::new(File::create(spill_path(i))?);
                 let mut sink = StoreSink {
-                    writer: ChunkWriter::with_pool(file, budget, &pool),
+                    writer: ChunkWriter::new(file, budget),
                     every: budget,
                 };
                 let outcome = self.run_range(&plan, spec, &mut sink)?;
@@ -545,7 +521,7 @@ impl Campaign {
         let mut retained = 0usize;
         let mut discarded = 0usize;
         let mut atlas_do53_ms: Vec<(u32, Vec<f64>)> = Vec::new();
-        let mut metrics = CountryMetrics::new(&plan);
+        let mut metrics = CountryMetrics::default();
         for (range_index, (spec, result)) in shards.iter().zip(results).enumerate() {
             let shard = result?;
             metrics.push(spec, &shard.outcome);
@@ -585,24 +561,8 @@ impl Campaign {
 
         dohperf_telemetry::counter!("store.chunks_written").add(totals.chunks);
         dohperf_telemetry::counter!("store.bytes_written").add(totals.bytes);
-        let pool_stats = pool.stats();
-        dohperf_telemetry::gauge!("store.encoder_workers", per_run).set(pool_stats.workers as i64);
-        dohperf_telemetry::gauge!("store.encoder_queue_depth", per_run)
-            .set(pool_stats.max_queue_depth as i64);
         dohperf_telemetry::gauge!("store.encode_ms", per_run)
-            .set((pool_stats.encode_nanos / 1_000_000) as i64);
-        dohperf_telemetry::trace::event(
-            "campaign",
-            format!(
-                "store: {} records in {} chunks ({} bytes) -> {}",
-                totals.records,
-                totals.chunks,
-                totals.bytes,
-                dir.display()
-            ),
-        );
-
-        warn_on_dropped_trace_events();
+            .set((totals.encode_nanos / 1_000_000) as i64);
         Ok(StoreRunSummary {
             stats: totals,
             discarded,
@@ -653,16 +613,6 @@ impl Campaign {
                 .unwrap_or(1),
             n => n,
         };
-
-        dohperf_telemetry::trace::event(
-            "campaign",
-            format!(
-                "start: {} countries, seed {}, scale {}, {threads} workers",
-                country_list.len(),
-                self.config.seed,
-                self.config.scale
-            ),
-        );
 
         Plan {
             root_rng,
@@ -749,15 +699,6 @@ impl Campaign {
                         let secs = wall.as_secs_f64().max(1e-9);
                         dohperf_telemetry::histogram!("campaign.worker_wall_ms", per_run)
                             .record_ms(secs * 1_000.0);
-                        dohperf_telemetry::trace::event_ms(
-                            "campaign",
-                            format!(
-                                "worker {worker}: {range_count} ranges, \
-                                 {client_count} clients ({:.0} clients/s)",
-                                client_count as f64 / secs
-                            ),
-                            secs * 1_000.0,
-                        );
                         if threads > 1 {
                             eprintln!(
                                 "[campaign] worker {worker}: {range_count} ranges, \
@@ -1451,26 +1392,16 @@ struct StoreShard {
 /// Merge-time aggregation of range outcomes back into the per-country
 /// telemetry the per-country sharding used to publish from workers.
 /// Publishing from the merge walk (canonical order, one thread) makes
-/// metric totals and trace-event order independent of worker scheduling.
-struct CountryMetrics<'a> {
-    plan: &'a Plan,
+/// metric totals independent of worker scheduling.
+#[derive(Default)]
+struct CountryMetrics {
     current: Option<usize>,
     retained: usize,
     discarded: usize,
     sim_nanos: u64,
 }
 
-impl<'a> CountryMetrics<'a> {
-    fn new(plan: &'a Plan) -> Self {
-        CountryMetrics {
-            plan,
-            current: None,
-            retained: 0,
-            discarded: 0,
-            sim_nanos: 0,
-        }
-    }
-
+impl CountryMetrics {
     /// Fold in one range outcome; ranges must arrive in canonical order.
     fn push(&mut self, spec: &ShardSpec, outcome: &RangeOutcome) {
         if self.current != Some(spec.country) {
@@ -1484,20 +1415,14 @@ impl<'a> CountryMetrics<'a> {
 
     /// Publish the current country's totals, if any.
     fn flush(&mut self) {
-        let Some(country) = self.current.take() else {
+        if self.current.take().is_none() {
             return;
-        };
-        let iso = self.plan.country_list[country].iso;
+        }
         let sim_ms = self.sim_nanos as f64 / 1e6;
         dohperf_telemetry::histogram!("campaign.shard_sim_ms").record_ms(sim_ms);
         dohperf_telemetry::counter!("campaign.countries_measured").inc();
         dohperf_telemetry::counter!("campaign.clients_measured").add(self.retained as u64);
         dohperf_telemetry::counter!("campaign.clients_discarded").add(self.discarded as u64);
-        dohperf_telemetry::trace::event_ms(
-            "campaign",
-            format!("shard {iso}: {} clients", self.retained),
-            sim_ms,
-        );
         self.retained = 0;
         self.discarded = 0;
         self.sim_nanos = 0;
@@ -1521,19 +1446,6 @@ fn observed_infrastructure(records: usize, countries: usize) -> (usize, usize) {
     let observed_resolvers = records.min(1_896 * records / 22_052 + 1);
     let observed_ases = (records / 10).max(countries);
     (observed_ases, observed_resolvers)
-}
-
-/// Publish the debug-sink drop count as the `trace.events_dropped`
-/// per-run counter and warn on stderr when a run lost events — losing
-/// events silently would make a truncated debug log look complete.
-fn warn_on_dropped_trace_events() {
-    let dropped = dohperf_telemetry::trace::publish_dropped();
-    if dropped > 0 {
-        eprintln!(
-            "[campaign] warning: {dropped} trace events dropped \
-             (debug ring buffer full; raise its capacity or trace less)"
-        );
-    }
 }
 
 /// Exercise the dnswire message phases for a traced DoH run: encode the

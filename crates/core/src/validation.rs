@@ -198,8 +198,10 @@ pub fn run_table2(seed: u64, runs: u32) -> Vec<Do53ValidationRow> {
 }
 
 /// §4.3: verify via packet traces that an exit node's first DNS packet
-/// goes to its OS-configured resolver. Returns true when every observed
-/// resolution used the default resolver.
+/// goes to its OS-configured resolver. Returns true when the trace holds
+/// at least one exit-originated `dns/udp` packet per resolution (and at
+/// least one overall) and every one of them used the default resolver;
+/// an empty trace is no evidence and returns false.
 pub fn run_resolver_confirmation(seed: u64, resolutions: u32) -> bool {
     let mut tb = Testbed::new(seed);
     let exit = controlled_exit(&mut tb, "BR", 3000);
@@ -218,14 +220,19 @@ pub fn run_resolver_confirmation(seed: u64, resolutions: u32) -> bool {
         );
     }
     // Every dns/udp packet originated by the exit host must target its
-    // configured resolver.
-    let all_via_default = tb
+    // configured resolver, and each resolution must have left one.
+    let mut observed = 0u32;
+    let mut all_via_default = true;
+    for r in tb
         .sim
         .trace()
         .by_proto("dns/udp")
         .filter(|r| r.src == exit.node)
-        .all(|r| r.dst == exit.resolver);
-    all_via_default
+    {
+        observed += 1;
+        all_via_default &= r.dst == exit.resolver;
+    }
+    observed > 0 && observed >= resolutions && all_via_default
 }
 
 /// §4.4: compare BrightData and Atlas Do53 medians in the overlap
@@ -331,6 +338,13 @@ mod tests {
     #[test]
     fn resolver_confirmation_holds() {
         assert!(run_resolver_confirmation(14, 10));
+    }
+
+    #[test]
+    fn resolver_confirmation_needs_observed_packets() {
+        // No resolutions means no exit-originated packets: nothing was
+        // confirmed, so the check must not pass vacuously.
+        assert!(!run_resolver_confirmation(14, 0));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! (head-of-line blocking, ≈2 RTTs until recovery), while QUIC
 //! retransmits within the affected stream only (≈1 RTT). The
 //! [`loss_stall_rtts`](DnsTransport::loss_stall_rtts) constants encode
-//! that asymmetry so a fault injector's loss knob visibly separates
+//! that asymmetry so packet loss visibly separates
 //! H2 from QUIC in the tail quantiles.
 //!
 //! Everything here is deterministic: the state machine consumes no

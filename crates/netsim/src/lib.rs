@@ -15,8 +15,8 @@
 //!    type-level tricks.
 //! 2. **Determinism**: every run with the same seed yields bit-identical
 //!    event orderings and latencies, so experiments are exactly repeatable.
-//! 3. **Fault injection as a first-class feature**: packet loss and jitter
-//!    can be dialed in per link, mirroring `--drop-chance`-style options.
+//! 3. **Observability**: an opt-in packet trace records every simulated
+//!    exchange, the analogue of a capture on a controlled host.
 //!
 //! ## Layers
 //!
@@ -29,16 +29,14 @@
 //! * [`topology`] — nodes with geographic positions and roles.
 //! * [`latency`] — the generative latency model: geodesic propagation,
 //!   infrastructure-dependent path inflation, last-mile distributions.
-//! * [`transport`] — cost models for UDP datagrams, TCP handshakes and TLS
-//!   session establishment, plus a sequential "session" facade used by the
-//!   protocol layers.
+//! * [`transport`] — the TLS version selector and the UDP retransmission
+//!   timeout shared by the protocol layers.
 //! * [`connection`] — the per-(client, provider) connection lifecycle for
 //!   encrypted DNS transports (DoH/DoT/DoQ): cold, resumed and warm
 //!   handshake costs, keep-alive reuse with deterministic idle timeout,
 //!   generation-tagged re-establishment, and the H2-vs-QUIC loss-stall
 //!   asymmetry.
-//! * [`fault`] — packet loss / jitter injection.
-//! * [`trace`] — a pcap-like event log used by the §4.3 experiment.
+//! * [`trace`] — the packet trace log used by the §4.3 experiment.
 //!
 //! ## Quick example
 //!
@@ -55,11 +53,8 @@
 pub mod connection;
 pub mod engine;
 pub mod event;
-pub mod fault;
 pub mod latency;
-pub mod pcap;
 pub mod rng;
-pub mod shaper;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -68,25 +63,21 @@ pub mod transport;
 pub use connection::{Acquired, ConnState, Connection, DnsTransport, Warmth};
 pub use engine::Simulator;
 pub use event::{EventId, EventQueue};
-pub use fault::FaultInjector;
 pub use latency::{InfraProfile, LatencyModel, PathModel};
-pub use pcap::to_pcap;
 pub use rng::SimRng;
-pub use shaper::{OverflowPolicy, ShapeDecision, TokenBucket};
 pub use time::{SimDuration, SimTime};
 pub use topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
 pub use trace::{PacketDirection, PacketRecord, TraceLog};
-pub use transport::{Session, TlsVersion, TransportCost};
+pub use transport::TlsVersion;
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::connection::{Acquired, ConnState, Connection, DnsTransport, Warmth};
     pub use crate::engine::Simulator;
-    pub use crate::fault::FaultInjector;
     pub use crate::latency::{InfraProfile, LatencyModel, PathModel};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
     pub use crate::trace::{PacketDirection, PacketRecord, TraceLog};
-    pub use crate::transport::{Session, TlsVersion, TransportCost};
+    pub use crate::transport::TlsVersion;
 }

@@ -1,19 +1,12 @@
 //! Packet trace log.
 //!
-//! A lightweight, pcap-inspired record of every simulated exchange. The
-//! §4.3 reproduction ("which resolver do exit nodes actually use?") works by
+//! A lightweight record of every simulated exchange. The §4.3
+//! reproduction ("which resolver do exit nodes actually use?") works by
 //! inspecting this log for the destination of the exit node's DNS query —
 //! the simulated analogue of running Wireshark on a controlled exit node.
-//!
-//! Storage lives in [`dohperf_telemetry::trace::PacketLog`] — the one
-//! packet-trace type in the workspace — and this module layers the typed
-//! view on top: [`PacketRecord`] carries [`SimTime`] / [`NodeId`] (and
-//! serde derives for export) instead of the raw nanosecond/index form the
-//! dependency-free telemetry crate stores.
 
 use crate::time::SimTime;
 use crate::topology::NodeId;
-use dohperf_telemetry::trace::{PacketEntry, PacketLog};
 use serde::{Deserialize, Serialize};
 
 /// Direction of a record relative to the node that logged it.
@@ -42,113 +35,73 @@ pub struct PacketRecord {
     pub direction: PacketDirection,
 }
 
-impl PacketRecord {
-    fn to_entry(&self) -> PacketEntry {
-        PacketEntry {
-            at_nanos: self.at.as_nanos(),
-            src: self.src.0,
-            dst: self.dst.0,
-            proto: self.proto,
-            note: self.note.clone(),
-            tx: self.direction == PacketDirection::Tx,
-        }
-    }
-
-    fn from_entry(entry: &PacketEntry) -> PacketRecord {
-        PacketRecord {
-            at: SimTime::from_nanos(entry.at_nanos),
-            src: NodeId(entry.src),
-            dst: NodeId(entry.dst),
-            proto: entry.proto,
-            note: entry.note.clone(),
-            direction: if entry.tx {
-                PacketDirection::Tx
-            } else {
-                PacketDirection::Rx
-            },
-        }
-    }
-}
-
-/// An append-only trace backed by the telemetry packet log. Disabled by
-/// default; enabling costs one `Vec` push per exchange.
+/// An append-only trace. Disabled by default; enabling costs one `Vec`
+/// push per exchange.
 #[derive(Debug, Default)]
 pub struct TraceLog {
-    log: PacketLog,
+    enabled: bool,
+    records: Vec<PacketRecord>,
 }
 
 impl TraceLog {
     /// A disabled log (records are discarded).
     pub fn disabled() -> Self {
-        TraceLog {
-            log: PacketLog::disabled(),
-        }
+        TraceLog::default()
     }
 
     /// An enabled log.
     pub fn enabled() -> Self {
         TraceLog {
-            log: PacketLog::enabled(),
+            enabled: true,
+            records: Vec::new(),
         }
     }
 
     /// Turn recording on or off.
     pub fn set_enabled(&mut self, enabled: bool) {
-        self.log.set_enabled(enabled);
+        self.enabled = enabled;
     }
 
     /// Whether records are being kept.
     pub fn is_enabled(&self) -> bool {
-        self.log.is_enabled()
+        self.enabled
     }
 
     /// Append a record (no-op when disabled).
     pub fn record(&mut self, record: PacketRecord) {
-        if self.log.is_enabled() {
-            self.log.record(record.to_entry());
+        if self.enabled {
+            self.records.push(record);
         }
     }
 
     /// All records in arrival order.
-    pub fn records(&self) -> Vec<PacketRecord> {
-        self.log
-            .entries()
-            .iter()
-            .map(PacketRecord::from_entry)
-            .collect()
+    pub fn records(&self) -> &[PacketRecord] {
+        &self.records
     }
 
     /// Records matching a protocol label.
-    pub fn by_proto<'a>(&'a self, proto: &'a str) -> impl Iterator<Item = PacketRecord> + 'a {
-        self.log
-            .entries()
-            .iter()
-            .filter(move |e| e.proto == proto)
-            .map(PacketRecord::from_entry)
+    pub fn by_proto<'a>(&'a self, proto: &'a str) -> impl Iterator<Item = &'a PacketRecord> + 'a {
+        self.records.iter().filter(move |r| r.proto == proto)
     }
 
     /// Records sent by a node.
-    pub fn sent_by(&self, node: NodeId) -> impl Iterator<Item = PacketRecord> + '_ {
-        self.log
-            .entries()
-            .iter()
-            .filter(move |e| e.src == node.0)
-            .map(PacketRecord::from_entry)
+    pub fn sent_by(&self, node: NodeId) -> impl Iterator<Item = &PacketRecord> + '_ {
+        self.records.iter().filter(move |r| r.src == node)
     }
 
     /// Drop all records.
     pub fn clear(&mut self) {
-        self.log.clear();
+        self.records.clear();
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.log.len()
+        self.records.len()
     }
 
     /// True if no records are kept.
     pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
+        self.records.is_empty()
     }
 }
 
@@ -207,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn typed_view_round_trips_through_raw_entries() {
+    fn records_are_kept_exactly() {
         let mut log = TraceLog::enabled();
         let original = PacketRecord {
             at: SimTime::from_nanos(123_456_789),

@@ -1,27 +1,12 @@
-//! Transport cost models and the sequential session facade.
+//! Transport constants shared by the protocol layers.
 //!
-//! The measurement workflows in the paper are strictly linear chains of
-//! request/response exchanges, so rather than forcing every protocol into
-//! callback-style events, [`Session`] provides a blocking-style API over the
-//! simulator clock: each call samples the necessary RTTs, advances the
-//! clock, and returns the elapsed duration. This keeps the protocol code in
-//! downstream crates direct and auditable against Figure 2 of the paper.
-//!
-//! Cost models:
-//!
-//! * **UDP exchange** — one RTT; on loss, the client waits a retransmission
-//!   timeout and retries (classic stub-resolver behaviour).
-//! * **TCP handshake** — one RTT (SYN/SYN-ACK; the client's first data
-//!   segment rides with the final ACK).
-//! * **TLS 1.3 handshake** — one RTT (RFC 8446 full handshake), zero on
-//!   session resumption with 0-RTT early data.
-//! * **TLS 1.2 handshake** — two RTTs, one with an abbreviated handshake.
+//! * **TLS version** — TLS 1.3 completes a full handshake in one round
+//!   trip (RFC 8446), TLS 1.2 in two; the proxy model charges the extra
+//!   TLS 1.2 round trip when a measurement selects it.
+//! * **UDP retransmission** — a stub resolver that loses a datagram
+//!   waits [`UDP_RETRY_TIMEOUT`] before it retries.
 
-use crate::engine::Simulator;
-use crate::fault::FaultInjector;
-use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
-use crate::topology::NodeId;
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// TLS protocol version, which determines handshake round trips.
@@ -33,365 +18,5 @@ pub enum TlsVersion {
     V1_3,
 }
 
-impl TlsVersion {
-    /// Round trips for a full handshake.
-    pub fn full_handshake_rtts(self) -> u32 {
-        match self {
-            TlsVersion::V1_2 => 2,
-            TlsVersion::V1_3 => 1,
-        }
-    }
-
-    /// Round trips for a resumed handshake (session tickets / PSK).
-    pub fn resumed_handshake_rtts(self) -> u32 {
-        match self {
-            TlsVersion::V1_2 => 1,
-            TlsVersion::V1_3 => 0,
-        }
-    }
-}
-
 /// Default DNS stub-resolver retransmission timeout.
 pub const UDP_RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(1000);
-/// Default maximum UDP retries before giving up.
-pub const UDP_MAX_RETRIES: u32 = 3;
-
-/// Itemised cost of a connection establishment, mirroring the components
-/// the BrightData headers expose (`DNS`, `Connect`) plus TLS.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct TransportCost {
-    /// Time to resolve the server's hostname (t3+t4 in the paper).
-    pub dns_bootstrap: SimDuration,
-    /// TCP handshake time (t5+t6).
-    pub tcp_handshake: SimDuration,
-    /// TLS handshake time (t11+t12 for TLS 1.3).
-    pub tls_handshake: SimDuration,
-}
-
-impl TransportCost {
-    /// Total connection-establishment cost.
-    pub fn total(&self) -> SimDuration {
-        self.dns_bootstrap + self.tcp_handshake + self.tls_handshake
-    }
-}
-
-/// Outcome of a UDP exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UdpOutcome {
-    /// Total elapsed time including retransmission timeouts.
-    pub elapsed: SimDuration,
-    /// Number of retransmissions performed (0 = first try succeeded).
-    pub retries: u32,
-    /// Whether a response eventually arrived.
-    pub succeeded: bool,
-}
-
-/// A sequential, clock-advancing view of one endpoint pair.
-///
-/// ```
-/// use dohperf_netsim::prelude::*;
-/// let mut sim = Simulator::new(1);
-/// let a = sim.add_node(NodeSpec::new("client", GeoPoint::new(0.0, 0.0), NodeRole::Client));
-/// let b = sim.add_node(NodeSpec::new("server", GeoPoint::new(10.0, 10.0), NodeRole::Server));
-/// let mut session = Session::new(&mut sim, a, b);
-/// let tcp = session.tcp_handshake();
-/// let tls = session.tls_handshake(TlsVersion::V1_3, false);
-/// assert!(tcp > SimDuration::ZERO);
-/// assert!(tls > SimDuration::ZERO); // one round trip for TLS 1.3
-/// ```
-///
-/// The session borrows the simulator mutably; each method samples RTTs from
-/// the latency model, advances the simulator clock, and returns how long
-/// the operation took. Operations across different `Session`s on the same
-/// simulator serialize on the global clock, which matches the paper's
-/// workflow of sequential measurements per exit node.
-pub struct Session<'s> {
-    sim: &'s mut Simulator,
-    /// Client-side endpoint.
-    pub a: NodeId,
-    /// Server-side endpoint.
-    pub b: NodeId,
-    tls_established: Option<TlsVersion>,
-    tcp_established: bool,
-}
-
-impl<'s> Session<'s> {
-    /// Open a (not yet connected) session between two nodes.
-    pub fn new(sim: &'s mut Simulator, a: NodeId, b: NodeId) -> Self {
-        Session {
-            sim,
-            a,
-            b,
-            tls_established: None,
-            tcp_established: false,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Sample one RTT between the endpoints without advancing the clock.
-    pub fn sample_rtt(&mut self) -> SimDuration {
-        self.sim.rtt(self.a, self.b)
-    }
-
-    /// The stable base RTT between the endpoints.
-    pub fn base_rtt(&mut self) -> SimDuration {
-        self.sim.base_rtt(self.a, self.b)
-    }
-
-    /// One round trip: advances the clock by a sampled RTT plus optional
-    /// server processing time, returning the elapsed duration.
-    pub fn round_trip(&mut self, server_processing: SimDuration) -> SimDuration {
-        let rtt = self.sim.rtt(self.a, self.b);
-        let elapsed = rtt + server_processing;
-        self.sim.advance(elapsed);
-        elapsed
-    }
-
-    /// A UDP request/response with stub-resolver retry semantics. Loss is
-    /// decided by `fault` independently for the query and the response.
-    pub fn udp_exchange(
-        &mut self,
-        fault: &mut FaultInjector,
-        rng: &mut SimRng,
-        server_processing: SimDuration,
-    ) -> UdpOutcome {
-        let mut elapsed = SimDuration::ZERO;
-        for attempt in 0..=UDP_MAX_RETRIES {
-            let query_lost = fault.should_drop(rng);
-            let reply_lost = !query_lost && fault.should_drop(rng);
-            if query_lost || reply_lost {
-                // Wait out the retransmission timer.
-                dohperf_telemetry::counter!("netsim.udp_retry_timeouts").inc();
-                elapsed += UDP_RETRY_TIMEOUT;
-                self.sim.advance(UDP_RETRY_TIMEOUT);
-                continue;
-            }
-            let rtt = self.sim.rtt(self.a, self.b) + fault.extra_delay(rng);
-            let this = rtt + server_processing;
-            elapsed += this;
-            self.sim.advance(this);
-            return UdpOutcome {
-                elapsed,
-                retries: attempt,
-                succeeded: true,
-            };
-        }
-        dohperf_telemetry::counter!("netsim.udp_exchanges_failed").inc();
-        UdpOutcome {
-            elapsed,
-            retries: UDP_MAX_RETRIES,
-            succeeded: false,
-        }
-    }
-
-    /// Perform a TCP three-way handshake (costs one RTT; the first data
-    /// segment can ride on the final ACK). Idempotent: reconnecting an
-    /// established session costs nothing.
-    pub fn tcp_handshake(&mut self) -> SimDuration {
-        if self.tcp_established {
-            return SimDuration::ZERO;
-        }
-        let cost = self.round_trip(SimDuration::ZERO);
-        self.tcp_established = true;
-        cost
-    }
-
-    /// Perform a TLS handshake over the (established) TCP connection.
-    /// `resumed` selects the abbreviated/PSK flow.
-    ///
-    /// Panics in debug builds if TCP has not been established first — the
-    /// protocol layering mistake we most want to catch early.
-    pub fn tls_handshake(&mut self, version: TlsVersion, resumed: bool) -> SimDuration {
-        debug_assert!(self.tcp_established, "TLS handshake before TCP handshake");
-        if self.tls_established.is_some() {
-            return SimDuration::ZERO;
-        }
-        let rtts = if resumed {
-            version.resumed_handshake_rtts()
-        } else {
-            version.full_handshake_rtts()
-        };
-        let mut cost = SimDuration::ZERO;
-        for _ in 0..rtts {
-            cost += self.round_trip(SimDuration::ZERO);
-        }
-        self.tls_established = Some(version);
-        cost
-    }
-
-    /// An application-layer request/response on the established connection
-    /// (one RTT plus server processing).
-    pub fn request_response(&mut self, server_processing: SimDuration) -> SimDuration {
-        self.round_trip(server_processing)
-    }
-
-    /// Whether TLS has been established on this session.
-    pub fn tls_version(&self) -> Option<TlsVersion> {
-        self.tls_established
-    }
-
-    /// Whether TCP has been established.
-    pub fn is_connected(&self) -> bool {
-        self.tcp_established
-    }
-
-    /// Tear down transport state (e.g. the Super Proxy closing the
-    /// connection after each request, §3.4).
-    pub fn close(&mut self) {
-        self.tcp_established = false;
-        self.tls_established = None;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::topology::{GeoPoint, NodeRole, NodeSpec};
-
-    fn pairset() -> (Simulator, NodeId, NodeId) {
-        let mut sim = Simulator::new(21);
-        let a = sim.add_node(NodeSpec::new(
-            "a",
-            GeoPoint::new(10.0, 10.0),
-            NodeRole::Client,
-        ));
-        let b = sim.add_node(NodeSpec::new(
-            "b",
-            GeoPoint::new(10.0, 60.0),
-            NodeRole::Server,
-        ));
-        (sim, a, b)
-    }
-
-    #[test]
-    fn tls13_is_one_rtt_and_tls12_is_two() {
-        let (mut sim, a, b) = pairset();
-        let base = sim.base_rtt(a, b).as_millis_f64();
-
-        let mut s = Session::new(&mut sim, a, b);
-        s.tcp_handshake();
-        let t13 = s.tls_handshake(TlsVersion::V1_3, false).as_millis_f64();
-        s.close();
-        s.tcp_handshake();
-        let t12 = s.tls_handshake(TlsVersion::V1_2, false).as_millis_f64();
-
-        assert!(t13 >= base && t13 < 2.0 * base, "t13 {t13} base {base}");
-        assert!(
-            t12 >= 2.0 * base && t12 < 3.0 * base,
-            "t12 {t12} base {base}"
-        );
-    }
-
-    #[test]
-    fn resumed_tls13_is_free() {
-        let (mut sim, a, b) = pairset();
-        let mut s = Session::new(&mut sim, a, b);
-        s.tcp_handshake();
-        let cost = s.tls_handshake(TlsVersion::V1_3, true);
-        assert_eq!(cost, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn handshakes_are_idempotent() {
-        let (mut sim, a, b) = pairset();
-        let mut s = Session::new(&mut sim, a, b);
-        assert!(s.tcp_handshake() > SimDuration::ZERO);
-        assert_eq!(s.tcp_handshake(), SimDuration::ZERO);
-        assert!(s.tls_handshake(TlsVersion::V1_3, false) > SimDuration::ZERO);
-        assert_eq!(s.tls_handshake(TlsVersion::V1_3, false), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn close_resets_transport_state() {
-        let (mut sim, a, b) = pairset();
-        let mut s = Session::new(&mut sim, a, b);
-        s.tcp_handshake();
-        s.tls_handshake(TlsVersion::V1_3, false);
-        assert!(s.is_connected());
-        s.close();
-        assert!(!s.is_connected());
-        assert!(s.tls_version().is_none());
-        assert!(s.tcp_handshake() > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn udp_exchange_lossless_is_one_rtt() {
-        let (mut sim, a, b) = pairset();
-        let base = sim.base_rtt(a, b);
-        let mut fault = FaultInjector::transparent();
-        let mut rng = SimRng::new(5);
-        let mut s = Session::new(&mut sim, a, b);
-        let out = s.udp_exchange(&mut fault, &mut rng, SimDuration::from_millis(2));
-        assert!(out.succeeded);
-        assert_eq!(out.retries, 0);
-        assert!(out.elapsed >= base + SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn udp_exchange_with_loss_pays_retry_timeouts() {
-        let (mut sim, a, b) = pairset();
-        let mut fault = FaultInjector::new(0.3, SimDuration::ZERO);
-        let mut rng = SimRng::new(6);
-        let mut successes = 0u32;
-        let mut retried = 0u32;
-        for _ in 0..100 {
-            let mut s = Session::new(&mut sim, a, b);
-            let out = s.udp_exchange(&mut fault, &mut rng, SimDuration::ZERO);
-            if out.succeeded {
-                successes += 1;
-            }
-            if out.retries > 0 {
-                retried += 1;
-                // Every retry costs at least one full retransmission timeout.
-                assert!(out.elapsed >= UDP_RETRY_TIMEOUT.saturating_mul(u64::from(out.retries)));
-            }
-        }
-        // With 30% per-packet loss, most exchanges succeed and a healthy
-        // fraction needed at least one retry.
-        assert!(successes >= 90, "successes {successes}");
-        assert!(retried >= 20, "retried {retried}");
-    }
-
-    #[test]
-    fn udp_exchange_gives_up_after_budget() {
-        let (mut sim, a, b) = pairset();
-        let mut fault = FaultInjector::new(1.0, SimDuration::ZERO);
-        fault.max_consecutive_drops = u32::MAX; // never force through
-        let mut rng = SimRng::new(7);
-        let mut s = Session::new(&mut sim, a, b);
-        let out = s.udp_exchange(&mut fault, &mut rng, SimDuration::ZERO);
-        assert!(!out.succeeded);
-        assert_eq!(out.retries, UDP_MAX_RETRIES);
-        assert_eq!(
-            out.elapsed,
-            UDP_RETRY_TIMEOUT.saturating_mul(u64::from(UDP_MAX_RETRIES) + 1)
-        );
-    }
-
-    #[test]
-    fn clock_advances_with_operations() {
-        let (mut sim, a, b) = pairset();
-        let t0 = sim.now();
-        {
-            let mut s = Session::new(&mut sim, a, b);
-            s.tcp_handshake();
-            s.tls_handshake(TlsVersion::V1_3, false);
-            s.request_response(SimDuration::from_millis(1));
-        }
-        assert!(sim.now() > t0);
-    }
-
-    #[test]
-    fn transport_cost_totals() {
-        let cost = TransportCost {
-            dns_bootstrap: SimDuration::from_millis(10),
-            tcp_handshake: SimDuration::from_millis(20),
-            tls_handshake: SimDuration::from_millis(30),
-        };
-        assert_eq!(cost.total(), SimDuration::from_millis(60));
-    }
-}

@@ -57,24 +57,12 @@
 //! Floats are raw little-endian IEEE-754 bits: encode∘decode is the
 //! identity on every finite value, which is what lets `--from-store`
 //! reproduce the direct pipeline byte for byte.
-//!
-//! ## Encoder kernels and the scratch contract
-//!
-//! The hot encoder is [`encode_chunk_into`]: it stages every column
-//! through an [`EncodeScratch`] (payload buffer, group buffer, typed
-//! column staging, RLE run buffers) and emits with the block kernels
-//! from [`crate::varint`], so a long-lived writer performs **zero
-//! per-chunk allocations** once its scratch has warmed up. The bytes
-//! are identical to the original byte-at-a-time encoder, which is kept
-//! verbatim in [`reference`] as the proptest/bench baseline.
-//! [`encode_chunk`] is the convenience wrapper that allocates a fresh
-//! scratch per call.
 
 use crate::checksum::crc32;
 use crate::record::{
     StoreDohSample, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,
 };
-use crate::varint::{put_f64_block, put_i64_block, put_u64, put_u64_block, Cursor};
+use crate::varint::{put_f64, put_i64, put_u64, Cursor};
 use crate::{Result, StoreError};
 
 /// Chunk magic: `DPSC` ("DoH-Perf Store Chunk").
@@ -108,305 +96,202 @@ const MAX_RECORDS_PER_CHUNK: usize = 1 << 22;
 /// Per-record cap on DoH samples (defensive; campaigns use 4).
 const MAX_SAMPLES_PER_RECORD: usize = 256;
 
-/// Reusable staging buffers for [`encode_chunk_into`].
-///
-/// One scratch per encoder thread (or per serial writer) amortizes all
-/// column staging across every chunk it encodes: the payload and group
-/// byte buffers, the typed column buffers the block kernels consume,
-/// and the RLE run accumulators. Holding one and calling
-/// [`encode_chunk_into`] in a loop performs no per-chunk allocations
-/// after the first few chunks warm the capacities up.
-#[derive(Default)]
-pub struct EncodeScratch {
-    payload: Vec<u8>,
-    group: Vec<u8>,
-    u64s: Vec<u64>,
-    i64s: Vec<i64>,
-    f64s: Vec<f64>,
-    runs_u32: Vec<(u32, u64)>,
-    runs_pair: Vec<([u8; 2], u64)>,
-}
+/// Payload bytes every record needs at minimum: its three raw f64
+/// geoloc columns (lat, lon, nameserver distance).
+const MIN_RECORD_BYTES: usize = 3 * 8;
 
-impl EncodeScratch {
-    /// Fresh scratch with empty buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append the staged group to the payload as a length-prefixed blob.
-    fn flush_group(&mut self) {
-        let Self { payload, group, .. } = self;
-        put_u64(payload, group.len() as u64);
-        payload.extend_from_slice(group);
-    }
-
-    fn identity(&mut self, records: &[StoreRecord]) {
-        let Self {
-            group,
-            i64s,
-            runs_u32,
-            ..
-        } = self;
-        group.clear();
-        // client_id: absolute first value, zigzag deltas after.
-        put_u64(group, records[0].client_id);
-        i64s.clear();
-        i64s.extend(
-            records
-                .windows(2)
-                .map(|w| w[1].client_id.wrapping_sub(w[0].client_id) as i64),
-        );
-        put_i64_block(group, i64s);
-        // country_index: RLE (value, run) pairs.
-        rle_u32_into(group, records.iter().map(|r| r.country_index), runs_u32);
-        // prefix: absolute first, zigzag deltas.
-        put_u64(group, records[0].prefix as u64);
-        i64s.clear();
-        i64s.extend(
-            records
-                .windows(2)
-                .map(|w| i64::from(w[1].prefix) - i64::from(w[0].prefix)),
-        );
-        put_i64_block(group, i64s);
-    }
-
-    fn geoloc(&mut self, records: &[StoreRecord]) {
-        let Self {
-            group,
-            f64s,
-            runs_pair,
-            ..
-        } = self;
-        group.clear();
-        rle_pair_into(group, records.iter().map(|r| r.country_iso), runs_pair);
-        rle_pair_into(group, records.iter().map(|r| r.maxmind_country), runs_pair);
-        for column in [
-            |r: &StoreRecord| r.lat,
-            |r: &StoreRecord| r.lon,
-            |r: &StoreRecord| r.nameserver_distance_miles,
-        ] {
-            f64s.clear();
-            f64s.extend(records.iter().map(column));
-            put_f64_block(group, f64s);
-        }
-    }
-
-    fn doh(&mut self, records: &[StoreRecord]) {
-        let Self {
-            group,
-            u64s,
-            f64s,
-            runs_u32,
-            ..
-        } = self;
-        group.clear();
-        u64s.clear();
-        u64s.extend(records.iter().map(|r| r.doh.len() as u64));
-        put_u64_block(group, u64s);
-        let flat = || records.iter().flat_map(|r| r.doh.iter());
-        rle_u32_into(group, flat().map(|s| u32::from(s.provider)), runs_u32);
-        for column in [
-            |s: &StoreDohSample| s.t_doh_ms,
-            |s: &StoreDohSample| s.t_dohr_ms,
-        ] {
-            f64s.clear();
-            f64s.extend(flat().map(column));
-            put_f64_block(group, f64s);
-        }
-        u64s.clear();
-        u64s.extend(flat().map(|s| u64::from(s.pop_index)));
-        put_u64_block(group, u64s);
-        for column in [
-            |s: &StoreDohSample| s.pop_distance_miles,
-            |s: &StoreDohSample| s.nearest_pop_distance_miles,
-        ] {
-            f64s.clear();
-            f64s.extend(flat().map(column));
-            put_f64_block(group, f64s);
-        }
-    }
-
-    fn do53(&mut self, records: &[StoreRecord]) {
-        let Self {
-            group,
-            f64s,
-            runs_u32,
-            ..
-        } = self;
-        group.clear();
-        // Presence bitmap, LSB-first within each byte, built in place.
-        let start = group.len();
-        group.resize(start + records.len().div_ceil(8), 0);
-        for (i, r) in records.iter().enumerate() {
-            if r.do53_ms.is_some() {
-                group[start + i / 8] |= 1 << (i % 8);
-            }
-        }
-        f64s.clear();
-        f64s.extend(records.iter().filter_map(|r| r.do53_ms));
-        put_f64_block(group, f64s);
-        rle_u32_into(
-            group,
-            records.iter().map(|r| u32::from(r.do53_source)),
-            runs_u32,
-        );
-    }
-
-    fn transports(&mut self, records: &[StoreRecord]) {
-        let Self {
-            group,
-            u64s,
-            f64s,
-            runs_u32,
-            ..
-        } = self;
-        group.clear();
-        u64s.clear();
-        u64s.extend(records.iter().map(|r| r.transports.len() as u64));
-        put_u64_block(group, u64s);
-        let flat = || records.iter().flat_map(|r| r.transports.iter());
-        rle_u32_into(group, flat().map(|s| u32::from(s.transport)), runs_u32);
-        rle_u32_into(group, flat().map(|s| u32::from(s.provider)), runs_u32);
-        for column in [
-            |s: &StoreTransportSample| s.cold_ms,
-            |s: &StoreTransportSample| s.warm_ms,
-            |s: &StoreTransportSample| s.resumed_ms,
-            |s: &StoreTransportSample| s.handshake_ms,
-        ] {
-            f64s.clear();
-            f64s.extend(flat().map(column));
-            put_f64_block(group, f64s);
-        }
-    }
-
-    fn pageload(&mut self, records: &[StoreRecord]) {
-        let Self {
-            group,
-            u64s,
-            f64s,
-            runs_u32,
-            ..
-        } = self;
-        group.clear();
-        u64s.clear();
-        u64s.extend(records.iter().map(|r| r.pages.len() as u64));
-        put_u64_block(group, u64s);
-        let flat = || records.iter().flat_map(|r| r.pages.iter());
-        rle_u32_into(group, flat().map(|s| u32::from(s.transport)), runs_u32);
-        rle_u32_into(group, flat().map(|s| u32::from(s.provider)), runs_u32);
-        // DAG shape columns: small integers, varint-packed.
-        for column in [
-            |s: &StorePageSample| u64::from(s.domains),
-            |s: &StorePageSample| u64::from(s.unique_names),
-            |s: &StorePageSample| u64::from(s.depth),
-            |s: &StorePageSample| u64::from(s.cold_cache_hits),
-            |s: &StorePageSample| u64::from(s.warm_cache_hits),
-        ] {
-            u64s.clear();
-            u64s.extend(flat().map(column));
-            put_u64_block(group, u64s);
-        }
-        for column in [
-            |s: &StorePageSample| s.plt_cold_ms,
-            |s: &StorePageSample| s.plt_warm_ms,
-        ] {
-            f64s.clear();
-            f64s.extend(flat().map(column));
-            put_f64_block(group, f64s);
-        }
-    }
-
-    fn timeseries(&mut self, records: &[StoreRecord]) {
-        let Self {
-            group,
-            u64s,
-            f64s,
-            runs_u32,
-            ..
-        } = self;
-        group.clear();
-        u64s.clear();
-        u64s.extend(records.iter().map(|r| r.windows.len() as u64));
-        put_u64_block(group, u64s);
-        let flat = || records.iter().flat_map(|r| r.windows.iter());
-        rle_u32_into(group, flat().map(|s| s.window), runs_u32);
-        rle_u32_into(group, flat().map(|s| u32::from(s.provider)), runs_u32);
-        rle_u32_into(group, flat().map(|s| u32::from(s.transport)), runs_u32);
-        // Count columns: small integers, varint-packed.
-        for column in [
-            |s: &StoreWindowSample| u64::from(s.queries),
-            |s: &StoreWindowSample| u64::from(s.successes),
-            |s: &StoreWindowSample| u64::from(s.cache_lookups),
-            |s: &StoreWindowSample| u64::from(s.cache_hits),
-        ] {
-            u64s.clear();
-            u64s.extend(flat().map(column));
-            put_u64_block(group, u64s);
-        }
-        f64s.clear();
-        f64s.extend(flat().map(|s| s.latency_ms));
-        put_f64_block(group, f64s);
-    }
-}
-
-/// Encode `records` as one self-contained chunk, appending to `out`.
-///
-/// Byte-identical to [`encode_chunk`] (and to [`reference::encode_chunk`],
-/// the original scalar encoder) but stages every column through
-/// `scratch`, so repeated calls on a warmed-up scratch allocate nothing
-/// per chunk beyond `out`'s own growth.
-pub fn encode_chunk_into(records: &[StoreRecord], scratch: &mut EncodeScratch, out: &mut Vec<u8>) {
+/// Encode `records` as one self-contained chunk.
+pub fn encode_chunk(records: &[StoreRecord]) -> Vec<u8> {
     assert!(!records.is_empty(), "a chunk holds at least one record");
     assert!(records.len() <= MAX_RECORDS_PER_CHUNK);
 
-    scratch.payload.clear();
-    scratch.identity(records);
-    scratch.flush_group();
-    scratch.geoloc(records);
-    scratch.flush_group();
-    scratch.doh(records);
-    scratch.flush_group();
-    scratch.do53(records);
-    scratch.flush_group();
-    // The transports and pageload groups are flag-gated so that legacy
-    // (transport-free, page-free) chunks stay byte-identical to format
-    // version 1 output.
+    let mut payload = Vec::with_capacity(records.len() * 96);
+    put_group(&mut payload, encode_identity(records));
+    put_group(&mut payload, encode_geoloc(records));
+    put_group(&mut payload, encode_doh(records));
+    put_group(&mut payload, encode_do53(records));
     let mut flags = 0u16;
     if records.iter().any(|r| !r.transports.is_empty()) {
         flags |= FLAG_TRANSPORTS;
-        scratch.transports(records);
-        scratch.flush_group();
+        put_group(&mut payload, encode_transports(records));
     }
     if records.iter().any(|r| !r.pages.is_empty()) {
         flags |= FLAG_PAGELOAD;
-        scratch.pageload(records);
-        scratch.flush_group();
+        put_group(&mut payload, encode_pageload(records));
     }
     if records.iter().any(|r| !r.windows.is_empty()) {
         flags |= FLAG_TIMESERIES;
-        scratch.timeseries(records);
-        scratch.flush_group();
+        put_group(&mut payload, encode_timeseries(records));
     }
 
-    let payload = &scratch.payload;
-    out.reserve(CHUNK_HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(CHUNK_HEADER_LEN + payload.len());
     out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&(records.len() as u32).to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
 }
 
-/// Encode `records` as one self-contained chunk.
-///
-/// Convenience wrapper over [`encode_chunk_into`] with a throwaway
-/// scratch; long-lived writers hold an [`EncodeScratch`] instead.
-pub fn encode_chunk(records: &[StoreRecord]) -> Vec<u8> {
-    let mut scratch = EncodeScratch::new();
+fn put_group(out: &mut Vec<u8>, group: Vec<u8>) {
+    put_u64(out, group.len() as u64);
+    out.extend_from_slice(&group);
+}
+
+fn encode_identity(records: &[StoreRecord]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_chunk_into(records, &mut scratch, &mut out);
+    put_u64(&mut out, records[0].client_id);
+    for w in records.windows(2) {
+        put_i64(&mut out, w[1].client_id.wrapping_sub(w[0].client_id) as i64);
+    }
+    encode_rle_u32(&mut out, records.iter().map(|r| r.country_index));
+    put_u64(&mut out, records[0].prefix as u64);
+    for w in records.windows(2) {
+        put_i64(&mut out, i64::from(w[1].prefix) - i64::from(w[0].prefix));
+    }
+    out
+}
+
+fn encode_geoloc(records: &[StoreRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_rle_pair(&mut out, records.iter().map(|r| r.country_iso));
+    encode_rle_pair(&mut out, records.iter().map(|r| r.maxmind_country));
+    for r in records {
+        put_f64(&mut out, r.lat);
+    }
+    for r in records {
+        put_f64(&mut out, r.lon);
+    }
+    for r in records {
+        put_f64(&mut out, r.nameserver_distance_miles);
+    }
+    out
+}
+
+fn encode_doh(records: &[StoreRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in records {
+        put_u64(&mut out, r.doh.len() as u64);
+    }
+    let flat = || records.iter().flat_map(|r| r.doh.iter());
+    encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
+    for s in flat() {
+        put_f64(&mut out, s.t_doh_ms);
+    }
+    for s in flat() {
+        put_f64(&mut out, s.t_dohr_ms);
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.pop_index));
+    }
+    for s in flat() {
+        put_f64(&mut out, s.pop_distance_miles);
+    }
+    for s in flat() {
+        put_f64(&mut out, s.nearest_pop_distance_miles);
+    }
+    out
+}
+
+fn encode_do53(records: &[StoreRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut bitmap = vec![0u8; records.len().div_ceil(8)];
+    for (i, r) in records.iter().enumerate() {
+        if r.do53_ms.is_some() {
+            bitmap[i / 8] |= 1 << (i % 8);
+        }
+    }
+    out.extend_from_slice(&bitmap);
+    for r in records {
+        if let Some(v) = r.do53_ms {
+            put_f64(&mut out, v);
+        }
+    }
+    encode_rle_u32(&mut out, records.iter().map(|r| u32::from(r.do53_source)));
+    out
+}
+
+fn encode_transports(records: &[StoreRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in records {
+        put_u64(&mut out, r.transports.len() as u64);
+    }
+    let flat = || records.iter().flat_map(|r| r.transports.iter());
+    encode_rle_u32(&mut out, flat().map(|s| u32::from(s.transport)));
+    encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
+    for s in flat() {
+        put_f64(&mut out, s.cold_ms);
+    }
+    for s in flat() {
+        put_f64(&mut out, s.warm_ms);
+    }
+    for s in flat() {
+        put_f64(&mut out, s.resumed_ms);
+    }
+    for s in flat() {
+        put_f64(&mut out, s.handshake_ms);
+    }
+    out
+}
+
+fn encode_pageload(records: &[StoreRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in records {
+        put_u64(&mut out, r.pages.len() as u64);
+    }
+    let flat = || records.iter().flat_map(|r| r.pages.iter());
+    encode_rle_u32(&mut out, flat().map(|s| u32::from(s.transport)));
+    encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.domains));
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.unique_names));
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.depth));
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.cold_cache_hits));
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.warm_cache_hits));
+    }
+    for s in flat() {
+        put_f64(&mut out, s.plt_cold_ms);
+    }
+    for s in flat() {
+        put_f64(&mut out, s.plt_warm_ms);
+    }
+    out
+}
+
+fn encode_timeseries(records: &[StoreRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in records {
+        put_u64(&mut out, r.windows.len() as u64);
+    }
+    let flat = || records.iter().flat_map(|r| r.windows.iter());
+    encode_rle_u32(&mut out, flat().map(|s| s.window));
+    encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
+    encode_rle_u32(&mut out, flat().map(|s| u32::from(s.transport)));
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.queries));
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.successes));
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.cache_lookups));
+    }
+    for s in flat() {
+        put_u64(&mut out, u64::from(s.cache_hits));
+    }
+    for s in flat() {
+        put_f64(&mut out, s.latency_ms);
+    }
     out
 }
 
@@ -425,6 +310,15 @@ pub fn decode_chunk(
     if n == 0 || n > MAX_RECORDS_PER_CHUNK {
         return Err(StoreError::Corrupt(format!(
             "{context}: implausible record count {n}"
+        )));
+    }
+    // Check the count against the payload before any column is sized
+    // from it: a forged count must not buy a large allocation.
+    if n * MIN_RECORD_BYTES > payload.len() {
+        return Err(StoreError::Corrupt(format!(
+            "{context}: record count {n} needs at least {} payload bytes, found {}",
+            n * MIN_RECORD_BYTES,
+            payload.len()
         )));
     }
     let mut cursor = Cursor::new(payload, &context);
@@ -863,15 +757,9 @@ fn decode_timeseries(bytes: &[u8], n: usize, context: &str) -> Result<Vec<Vec<St
 // ------------------------------------------------------------ RLE helpers
 
 /// Run-length encode a u32 column as (varint value, varint run) pairs,
-/// prefixed by the pair count. `runs` is caller-owned scratch — cleared
-/// here, retained across calls to avoid per-column allocation.
-#[doc(hidden)]
-pub fn rle_u32_into(
-    out: &mut Vec<u8>,
-    values: impl Iterator<Item = u32>,
-    runs: &mut Vec<(u32, u64)>,
-) {
-    runs.clear();
+/// prefixed by the pair count.
+fn encode_rle_u32(out: &mut Vec<u8>, values: impl Iterator<Item = u32>) {
+    let mut runs: Vec<(u32, u64)> = Vec::new();
     for v in values {
         match runs.last_mut() {
             Some((last, run)) if *last == v => *run += 1,
@@ -879,7 +767,7 @@ pub fn rle_u32_into(
         }
     }
     put_u64(out, runs.len() as u64);
-    for &(v, run) in runs.iter() {
+    for (v, run) in runs {
         put_u64(out, u64::from(v));
         put_u64(out, run);
     }
@@ -905,14 +793,9 @@ pub fn decode_rle_u32(c: &mut Cursor<'_>, expected: usize, what: &str) -> Result
     Ok(values)
 }
 
-/// Run-length encode a `[u8; 2]` column (ISO country codes) through
-/// caller-owned run scratch.
-fn rle_pair_into(
-    out: &mut Vec<u8>,
-    values: impl Iterator<Item = [u8; 2]>,
-    runs: &mut Vec<([u8; 2], u64)>,
-) {
-    runs.clear();
+/// Run-length encode a `[u8; 2]` column (ISO country codes).
+fn encode_rle_pair(out: &mut Vec<u8>, values: impl Iterator<Item = [u8; 2]>) {
+    let mut runs: Vec<([u8; 2], u64)> = Vec::new();
     for v in values {
         match runs.last_mut() {
             Some((last, run)) if *last == v => *run += 1,
@@ -920,7 +803,7 @@ fn rle_pair_into(
         }
     }
     put_u64(out, runs.len() as u64);
-    for &(v, run) in runs.iter() {
+    for (v, run) in runs {
         out.extend_from_slice(&v);
         put_u64(out, run);
     }
@@ -944,246 +827,6 @@ fn decode_rle_pair(c: &mut Cursor<'_>, expected: usize, what: &str) -> Result<Ve
     Ok(values)
 }
 
-/// The original byte-at-a-time chunk encoder, retained verbatim as the
-/// byte-level reference the block-kernel encoder is proptested (and
-/// benchmarked) against. It uses the scalar varint encoders from
-/// [`crate::varint::scalar`] so the two paths share no kernel code.
-/// Not part of the supported API.
-#[doc(hidden)]
-pub mod reference {
-    use super::{
-        crc32, StoreRecord, CHUNK_HEADER_LEN, CHUNK_MAGIC, FLAG_PAGELOAD, FLAG_TIMESERIES,
-        FLAG_TRANSPORTS, FORMAT_VERSION, MAX_RECORDS_PER_CHUNK,
-    };
-    use crate::varint::scalar::{put_f64, put_i64, put_u64};
-
-    /// Encode `records` exactly as the pre-kernel scalar encoder did.
-    pub fn encode_chunk(records: &[StoreRecord]) -> Vec<u8> {
-        assert!(!records.is_empty(), "a chunk holds at least one record");
-        assert!(records.len() <= MAX_RECORDS_PER_CHUNK);
-
-        let mut payload = Vec::with_capacity(records.len() * 96);
-        put_group(&mut payload, encode_identity(records));
-        put_group(&mut payload, encode_geoloc(records));
-        put_group(&mut payload, encode_doh(records));
-        put_group(&mut payload, encode_do53(records));
-        let mut flags = 0u16;
-        if records.iter().any(|r| !r.transports.is_empty()) {
-            flags |= FLAG_TRANSPORTS;
-            put_group(&mut payload, encode_transports(records));
-        }
-        if records.iter().any(|r| !r.pages.is_empty()) {
-            flags |= FLAG_PAGELOAD;
-            put_group(&mut payload, encode_pageload(records));
-        }
-        if records.iter().any(|r| !r.windows.is_empty()) {
-            flags |= FLAG_TIMESERIES;
-            put_group(&mut payload, encode_timeseries(records));
-        }
-
-        let mut out = Vec::with_capacity(CHUNK_HEADER_LEN + payload.len());
-        out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    fn put_group(out: &mut Vec<u8>, group: Vec<u8>) {
-        put_u64(out, group.len() as u64);
-        out.extend_from_slice(&group);
-    }
-
-    fn encode_identity(records: &[StoreRecord]) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, records[0].client_id);
-        for w in records.windows(2) {
-            put_i64(&mut out, w[1].client_id.wrapping_sub(w[0].client_id) as i64);
-        }
-        encode_rle_u32(&mut out, records.iter().map(|r| r.country_index));
-        put_u64(&mut out, records[0].prefix as u64);
-        for w in records.windows(2) {
-            put_i64(&mut out, i64::from(w[1].prefix) - i64::from(w[0].prefix));
-        }
-        out
-    }
-
-    fn encode_geoloc(records: &[StoreRecord]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_rle_pair(&mut out, records.iter().map(|r| r.country_iso));
-        encode_rle_pair(&mut out, records.iter().map(|r| r.maxmind_country));
-        for r in records {
-            put_f64(&mut out, r.lat);
-        }
-        for r in records {
-            put_f64(&mut out, r.lon);
-        }
-        for r in records {
-            put_f64(&mut out, r.nameserver_distance_miles);
-        }
-        out
-    }
-
-    fn encode_doh(records: &[StoreRecord]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for r in records {
-            put_u64(&mut out, r.doh.len() as u64);
-        }
-        let flat = || records.iter().flat_map(|r| r.doh.iter());
-        encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
-        for s in flat() {
-            put_f64(&mut out, s.t_doh_ms);
-        }
-        for s in flat() {
-            put_f64(&mut out, s.t_dohr_ms);
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.pop_index));
-        }
-        for s in flat() {
-            put_f64(&mut out, s.pop_distance_miles);
-        }
-        for s in flat() {
-            put_f64(&mut out, s.nearest_pop_distance_miles);
-        }
-        out
-    }
-
-    fn encode_do53(records: &[StoreRecord]) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut bitmap = vec![0u8; records.len().div_ceil(8)];
-        for (i, r) in records.iter().enumerate() {
-            if r.do53_ms.is_some() {
-                bitmap[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&bitmap);
-        for r in records {
-            if let Some(v) = r.do53_ms {
-                put_f64(&mut out, v);
-            }
-        }
-        encode_rle_u32(&mut out, records.iter().map(|r| u32::from(r.do53_source)));
-        out
-    }
-
-    fn encode_transports(records: &[StoreRecord]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for r in records {
-            put_u64(&mut out, r.transports.len() as u64);
-        }
-        let flat = || records.iter().flat_map(|r| r.transports.iter());
-        encode_rle_u32(&mut out, flat().map(|s| u32::from(s.transport)));
-        encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
-        for s in flat() {
-            put_f64(&mut out, s.cold_ms);
-        }
-        for s in flat() {
-            put_f64(&mut out, s.warm_ms);
-        }
-        for s in flat() {
-            put_f64(&mut out, s.resumed_ms);
-        }
-        for s in flat() {
-            put_f64(&mut out, s.handshake_ms);
-        }
-        out
-    }
-
-    fn encode_pageload(records: &[StoreRecord]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for r in records {
-            put_u64(&mut out, r.pages.len() as u64);
-        }
-        let flat = || records.iter().flat_map(|r| r.pages.iter());
-        encode_rle_u32(&mut out, flat().map(|s| u32::from(s.transport)));
-        encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.domains));
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.unique_names));
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.depth));
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.cold_cache_hits));
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.warm_cache_hits));
-        }
-        for s in flat() {
-            put_f64(&mut out, s.plt_cold_ms);
-        }
-        for s in flat() {
-            put_f64(&mut out, s.plt_warm_ms);
-        }
-        out
-    }
-
-    fn encode_timeseries(records: &[StoreRecord]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for r in records {
-            put_u64(&mut out, r.windows.len() as u64);
-        }
-        let flat = || records.iter().flat_map(|r| r.windows.iter());
-        encode_rle_u32(&mut out, flat().map(|s| s.window));
-        encode_rle_u32(&mut out, flat().map(|s| u32::from(s.provider)));
-        encode_rle_u32(&mut out, flat().map(|s| u32::from(s.transport)));
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.queries));
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.successes));
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.cache_lookups));
-        }
-        for s in flat() {
-            put_u64(&mut out, u64::from(s.cache_hits));
-        }
-        for s in flat() {
-            put_f64(&mut out, s.latency_ms);
-        }
-        out
-    }
-
-    /// The allocating RLE encoder the scratch variant replaced.
-    pub fn encode_rle_u32(out: &mut Vec<u8>, values: impl Iterator<Item = u32>) {
-        let mut runs: Vec<(u32, u64)> = Vec::new();
-        for v in values {
-            match runs.last_mut() {
-                Some((last, run)) if *last == v => *run += 1,
-                _ => runs.push((v, 1)),
-            }
-        }
-        put_u64(out, runs.len() as u64);
-        for (v, run) in runs {
-            put_u64(out, u64::from(v));
-            put_u64(out, run);
-        }
-    }
-
-    fn encode_rle_pair(out: &mut Vec<u8>, values: impl Iterator<Item = [u8; 2]>) {
-        let mut runs: Vec<([u8; 2], u64)> = Vec::new();
-        for v in values {
-            match runs.last_mut() {
-                Some((last, run)) if *last == v => *run += 1,
-                _ => runs.push((v, 1)),
-            }
-        }
-        put_u64(out, runs.len() as u64);
-        for (v, run) in runs {
-            out.extend_from_slice(&v);
-            put_u64(out, run);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1205,32 +848,6 @@ mod tests {
         verify_checksum(payload, crc, 0).unwrap();
         let back = decode_chunk(count, flags, payload, 0).unwrap();
         assert_eq!(back, records);
-    }
-
-    #[test]
-    fn kernel_encoder_matches_scalar_reference_byte_for_byte() {
-        // Every record shape (legacy-only, plus each flag-gated group)
-        // through both encoders, with one scratch reused across all of
-        // them — stale scratch contents must never leak into a chunk.
-        let mut scratch = EncodeScratch::new();
-        let mut shapes: Vec<Vec<StoreRecord>> = vec![batch(7), batch(200)];
-        let mut mixed = batch(5);
-        mixed[1] = StoreRecord::test_record_with_transports(2);
-        mixed[2] = StoreRecord::test_record_with_pages(3);
-        mixed[3] = StoreRecord::test_record_with_windows(4);
-        mixed[4].do53_ms = None;
-        mixed[4].doh.clear();
-        shapes.push(mixed);
-        for records in &shapes {
-            let mut kernel = Vec::new();
-            encode_chunk_into(records, &mut scratch, &mut kernel);
-            assert_eq!(
-                kernel,
-                reference::encode_chunk(records),
-                "kernel vs scalar reference for a {}-record chunk",
-                records.len()
-            );
-        }
     }
 
     #[test]
@@ -1369,6 +986,15 @@ mod tests {
         let bytes = encode_chunk(&records);
         let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
         assert_eq!(flags & FLAG_PAGELOAD, 0);
+    }
+
+    #[test]
+    fn record_count_beyond_the_payload_is_rejected() {
+        // Four empty groups cannot hold even one record's geoloc columns.
+        let err = decode_chunk(1 << 22, 0, &[0, 0, 0, 0], 2).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("chunk 2"), "{msg}");
+        assert!(msg.contains("record count 4194304"), "{msg}");
     }
 
     #[test]

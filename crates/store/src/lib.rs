@@ -65,19 +65,16 @@
 pub mod checksum;
 pub mod chunk;
 pub mod manifest;
-pub mod pipeline;
 pub mod reader;
 pub mod record;
 pub mod varint;
 pub mod writer;
 
 pub use chunk::{
-    decode_chunk, encode_chunk, encode_chunk_into, EncodeScratch, CHUNK_MAGIC, FLAG_TIMESERIES,
-    FLAG_TRANSPORTS, FORMAT_VERSION,
+    decode_chunk, encode_chunk, CHUNK_MAGIC, FLAG_TIMESERIES, FLAG_TRANSPORTS, FORMAT_VERSION,
 };
 pub use manifest::{Manifest, MANIFEST_MAGIC};
-pub use pipeline::{fold_chunks, EncoderPool, PipelineConfig, PipelineStats, ReadStats};
-pub use reader::ChunkReader;
+pub use reader::{fold_chunks, ChunkReader, ReadStats};
 pub use record::{
     StoreDohSample, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,
 };

@@ -7,158 +7,32 @@
 //! little-endian IEEE-754 bits — bit-exact round-trips are what make
 //! `--from-store` reproduce the direct pipeline's output byte for byte.
 //!
-//! The encoders come in two tiers: the scalar entry points ([`put_u64`],
-//! [`put_i64`], [`put_f64`]) with a branch-minimal single-byte fast
-//! path, and the block kernels ([`put_u64_block`], [`put_i64_block`],
-//! [`put_f64_block`]) that size the output once per column with a
-//! branch-free `leading_zeros` length computation and take a whole-word
-//! fast path when an entire block fits in one byte per value. Both tiers
-//! are byte-for-byte identical to the original byte-at-a-time encoders,
-//! which survive in [`scalar`] as the proptest/bench reference.
+//! The encoders write one value at a time; decoding goes through
+//! [`Cursor`], which bounds-checks every read.
 
 use crate::{Result, StoreError};
 
-/// Append `v` as a LEB128 varint.
-#[inline]
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    if v < 0x80 {
-        out.push(v as u8);
-        return;
-    }
-    put_u64_multi(out, v);
-}
-
-/// The multi-byte tail of [`put_u64`]: stage into a fixed stack buffer,
-/// then append with one `extend_from_slice`.
-#[inline]
-fn put_u64_multi(out: &mut Vec<u8>, mut v: u64) {
-    let mut buf = [0u8; 10];
-    let mut len = 0usize;
+/// Append `v` as a LEB128 varint, one push per byte.
+pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf[len] = byte;
-            len += 1;
-            break;
+            out.push(byte);
+            return;
         }
-        buf[len] = byte | 0x80;
-        len += 1;
+        out.push(byte | 0x80);
     }
-    out.extend_from_slice(&buf[..len]);
-}
-
-/// Encoded LEB128 length of `v`, branch-free: one byte per started
-/// 7-bit group (`v | 1` keeps `v = 0` at one byte).
-#[inline]
-pub fn encoded_len(v: u64) -> usize {
-    let bits = 64 - (v | 1).leading_zeros() as usize;
-    bits.div_ceil(7)
-}
-
-/// Zigzag-map a signed value onto the unsigned varint domain.
-#[inline]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Append `v` zigzag-mapped then LEB128-encoded.
-#[inline]
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    put_u64(out, zigzag(v));
+    put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Append the raw little-endian bits of `v`.
-#[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Append a whole u64 column as LEB128 varints.
-///
-/// Sizes the destination once (branch-free per-value length via
-/// [`encoded_len`]); when every value in the block fits in one byte —
-/// detected with a single OR-fold over the words — the bytes are laid
-/// down in one resize-and-fill pass with no per-value branching.
-pub fn put_u64_block(out: &mut Vec<u8>, values: &[u64]) {
-    if values.is_empty() {
-        return;
-    }
-    let fold = values.iter().fold(0u64, |acc, &v| acc | v);
-    if fold < 0x80 {
-        let start = out.len();
-        out.resize(start + values.len(), 0);
-        for (dst, &v) in out[start..].iter_mut().zip(values) {
-            *dst = v as u8;
-        }
-        return;
-    }
-    let total: usize = values.iter().map(|&v| encoded_len(v)).sum();
-    out.reserve(total);
-    for &v in values {
-        put_u64(out, v);
-    }
-}
-
-/// Append a whole i64 column as zigzag varints (see [`put_u64_block`]).
-pub fn put_i64_block(out: &mut Vec<u8>, values: &[i64]) {
-    if values.is_empty() {
-        return;
-    }
-    let fold = values.iter().fold(0u64, |acc, &v| acc | zigzag(v));
-    if fold < 0x80 {
-        let start = out.len();
-        out.resize(start + values.len(), 0);
-        for (dst, &v) in out[start..].iter_mut().zip(values) {
-            *dst = zigzag(v) as u8;
-        }
-        return;
-    }
-    let total: usize = values.iter().map(|&v| encoded_len(zigzag(v))).sum();
-    out.reserve(total);
-    for &v in values {
-        put_u64(out, zigzag(v));
-    }
-}
-
-/// Append a whole f64 column as raw little-endian bits in one
-/// resize-and-fill pass (the compiler turns the fixed-width copy loop
-/// into wide moves on little-endian targets).
-pub fn put_f64_block(out: &mut Vec<u8>, values: &[f64]) {
-    let start = out.len();
-    out.resize(start + values.len() * 8, 0);
-    for (dst, &v) in out[start..].chunks_exact_mut(8).zip(values) {
-        dst.copy_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-/// The original byte-at-a-time encoders, kept verbatim as the reference
-/// the fast-path and block kernels are proptested (and benchmarked)
-/// against. Not part of the supported API.
-#[doc(hidden)]
-pub mod scalar {
-    /// Append `v` as a LEB128 varint, one push per byte.
-    pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                out.push(byte);
-                return;
-            }
-            out.push(byte | 0x80);
-        }
-    }
-
-    /// Append `v` zigzag-mapped then LEB128-encoded.
-    pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-        put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
-    }
-
-    /// Append the raw little-endian bits of `v`.
-    pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
 }
 
 /// A bounds-checked forward cursor over encoded bytes.
@@ -359,71 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_scalar_reference() {
-        // Every magnitude class, through both the scalar reference and
-        // the fast-path encoder, byte for byte.
-        let values = [
-            0u64,
-            1,
-            0x7F,
-            0x80,
-            0x3FFF,
-            0x4000,
-            1 << 20,
-            1 << 62,
-            u64::MAX - 1,
-            u64::MAX,
-        ];
-        for &v in &values {
-            let mut fast = Vec::new();
-            put_u64(&mut fast, v);
-            let mut reference = Vec::new();
-            scalar::put_u64(&mut reference, v);
-            assert_eq!(fast, reference, "value {v:#x}");
-            assert_eq!(fast.len(), encoded_len(v), "encoded_len for {v:#x}");
-        }
-    }
-
-    #[test]
-    fn block_kernels_match_scalar_reference() {
-        // A one-byte-per-value block (bulk fast path) and a mixed block
-        // (length-summed slow path), for all three kernels.
-        let small: Vec<u64> = (0..200).map(|i| i % 0x80).collect();
-        let mixed: Vec<u64> = (0..200).map(|i| i * 0x0012_3456_789A).collect();
-        for values in [&small, &mixed] {
-            let mut block = Vec::new();
-            put_u64_block(&mut block, values);
-            let mut reference = Vec::new();
-            for &v in values.iter() {
-                scalar::put_u64(&mut reference, v);
-            }
-            assert_eq!(block, reference);
-        }
-
-        let signed: Vec<i64> = (-100..100).map(|i| i * 0x77_7777).collect();
-        let mut block = Vec::new();
-        put_i64_block(&mut block, &signed);
-        let mut reference = Vec::new();
-        for &v in &signed {
-            scalar::put_i64(&mut reference, v);
-        }
-        assert_eq!(block, reference);
-
-        let floats: Vec<f64> = (0..50).map(|i| (i as f64) * -3.25e100).collect();
-        let mut block = Vec::new();
-        put_f64_block(&mut block, &floats);
-        let mut reference = Vec::new();
-        for &v in &floats {
-            scalar::put_f64(&mut reference, v);
-        }
-        assert_eq!(block, reference);
-    }
-
-    #[test]
     fn f64_block_decode_matches_scalar_decode() {
         let values = [0.0f64, -0.0, 1.5, -1e300, f64::MIN_POSITIVE, 234.567];
         let mut buf = Vec::new();
-        put_f64_block(&mut buf, &values);
+        for &v in &values {
+            put_f64(&mut buf, v);
+        }
         let mut c = Cursor::new(&buf, "test");
         let mut col = Vec::new();
         c.f64_block(values.len(), &mut col).unwrap();
