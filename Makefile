@@ -4,7 +4,7 @@
         ci fmt-check clippy perf-smoke baseline store-roundtrip \
         trace-smoke golden-trace alloc-smoke protocol-matrix \
         protocol-baseline scale-smoke scale-baseline \
-        pageload-smoke pageload-baseline pageload-bench \
+        pageload-smoke pageload-baseline \
         timeline-smoke timeline-baseline bench-test
 
 build:
@@ -194,12 +194,6 @@ pageload-baseline:
 	    --metrics ci/baseline-metrics-pageload.json > /dev/null
 	rm -rf target/ci/store-pageload
 
-# Record the page-load throughput trajectory (pages/sec + queries/sec at
-# scale 0.05 and 0.25) into the committed BENCH_pageload.json.
-pageload-bench:
-	cargo run --release -p dohperf-bench --bin pageload_bench -- \
-	    --seed 2021 --out BENCH_pageload.json
-
 # Regenerate the per-protocol baselines after an intentional change to
 # the lifecycle model.
 protocol-baseline:
@@ -243,8 +237,9 @@ trace-smoke:
 # contract on the perf-smoke metrics diff.) The throughput + allocs/query
 # report lands in target/ci/alloc.json; the committed before/after record
 # is BENCH_alloc.json. The same build also checks that crafted chunk
-# streams (a forged record count, a missing payload) fail without
-# allocating more than 64 bytes per input byte.
+# streams (a forged record count, a missing payload) and crafted DNS
+# headers (65,535 claimed questions or answers) fail without allocating
+# more than 64 bytes per input byte.
 alloc-smoke:
 	mkdir -p target/ci
 	cargo run --release -p dohperf-bench --features alloc-count \

@@ -15,8 +15,8 @@ use dohperf_core::campaign::{Campaign, CampaignConfig, ClientExplain, ProtocolSe
 use dohperf_core::records::Dataset;
 use dohperf_core::validation;
 use dohperf_netsim::connection::DnsTransport;
-use dohperf_netsim::transport::TlsVersion;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
+use dohperf_proxy::network::TlsVersion;
 use dohperf_stats::desc::median;
 use dohperf_telemetry::flight::{QueryTrace, SpanRecord};
 use dohperf_telemetry::{perfetto, phases};
@@ -981,34 +981,42 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
         out
     }
 
-    /// Comparison: DoT vs DoH (the Doan et al. §8 contrast, executable).
+    /// Comparison: DoT vs DoH (the Doan et al. §8 contrast, executable),
+    /// read from one connection-lifecycle campaign over both transports.
     pub fn compare_dot(&self) -> String {
-        use dohperf_proxy::network::EncryptedProtocol;
-        let doh = self.variant_dataset(|_| {});
-        let dot = self.variant_dataset(|cfg| cfg.measurement.protocol = EncryptedProtocol::DoT);
+        let ds = self.variant_dataset(|cfg| {
+            cfg.protocols = ProtocolSet::EMPTY
+                .with(DnsTransport::DoH)
+                .with(DnsTransport::DoT)
+        });
         let mut out = String::from(
             "DoT vs DoH (Doan et al. found DoT slower than Do53 with Cloudflare/Google ahead of Quad9; \
-DoT trades lighter framing for port-853 middlebox exposure)
-",
+DoT's 2-byte length prefix frames lighter than DoH's HTTP/2)\n",
         );
-        let doh_cdfs = provider_cdfs(&doh);
-        let dot_cdfs = provider_cdfs(&dot);
-        for (h, t) in doh_cdfs.iter().zip(&dot_cdfs) {
+        let grid = transport_provider_grid(&ds);
+        let cells = |t: DnsTransport| grid.iter().filter(move |c| c.transport == t);
+        for (h, t) in cells(DnsTransport::DoH).zip(cells(DnsTransport::DoT)) {
+            debug_assert_eq!(h.provider, t.provider);
             let _ = writeln!(
                 out,
                 "{:<11} first-query {:>6.0}ms (DoH) vs {:>6.0}ms (DoT)   reused {:>6.0}ms vs {:>6.0}ms",
                 h.provider.name(),
-                h.doh1.median(),
-                t.doh1.median(),
-                h.dohr.median(),
-                t.dohr.median(),
+                h.median_cold_ms,
+                t.median_cold_ms,
+                h.median_warm_ms,
+                t.median_warm_ms,
             );
         }
-        let hd = headline_stats(&dot);
+        let dot_cold_ms = transport_headlines(&ds)
+            .iter()
+            .find(|r| r.transport == DnsTransport::DoT)
+            .expect("the campaign measured DoT")
+            .median_cold_ms;
         let _ = writeln!(
             out,
             "DoT vs Do53: median first-query {:.0}ms vs {:.0}ms — DoT, like DoH, remains slower than Do53",
-            hd.median_doh1_ms, hd.median_do53_ms
+            dot_cold_ms,
+            headline_stats(&ds).median_do53_ms
         );
         out
     }
@@ -1523,6 +1531,34 @@ mod tests {
         ] {
             assert!(text.len() > 50, "{name} output too short:\n{text}");
             assert!(!text.contains("NaN"), "{name} contains NaN:\n{text}");
+        }
+    }
+
+    /// The ablations and the DoT comparison each run their own variant
+    /// campaigns, so `every_experiment_renders` does not reach them.
+    #[test]
+    fn variant_experiments_render() {
+        let ctx = quick_context();
+        let dot = ctx.compare_dot();
+        for (name, text) in [
+            ("ablation-tls12", ctx.ablation_tls12()),
+            ("ablation-loss", ctx.ablation_loss()),
+            ("ablation-cache", ctx.ablation_cache()),
+            ("ablation-anycast", ctx.ablation_anycast()),
+            ("compare-dot", dot.clone()),
+        ] {
+            assert!(text.len() > 50, "{name} output too short:\n{text}");
+            assert!(!text.contains("NaN"), "{name} contains NaN:\n{text}");
+        }
+        // One row per provider, carrying one DoH and one DoT value.
+        for provider in ALL_PROVIDERS {
+            let rows: Vec<&str> = dot
+                .lines()
+                .filter(|l| l.starts_with(provider.name()))
+                .collect();
+            assert_eq!(rows.len(), 1, "{}:\n{dot}", provider.name());
+            assert_eq!(rows[0].matches("(DoH)").count(), 1, "{}", rows[0]);
+            assert_eq!(rows[0].matches("(DoT)").count(), 1, "{}", rows[0]);
         }
     }
 

@@ -45,7 +45,7 @@ use dohperf_dns::name::DnsName;
 use dohperf_dns::rdata::RData;
 use dohperf_dns::record::ResourceRecord;
 use dohperf_dns::types::RecordType;
-use dohperf_netsim::connection::{Connection, DnsTransport, Warmth};
+use dohperf_netsim::connection::{Connection, DnsTransport};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::event::EventId;
 use dohperf_netsim::rng::SimRng;
@@ -54,6 +54,7 @@ use dohperf_netsim::topology::NodeId;
 use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_proxy::exitnode::ExitNode;
+use dohperf_proxy::lifecycle;
 use dohperf_telemetry::flight;
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -85,9 +86,6 @@ const EVICT_TICK: SimDuration = SimDuration::from_millis(1_000);
 /// TTLs assigned to unique names. The 2 s bucket expires inside the
 /// inter-visit gap, so warm visits still pay for some re-resolutions.
 const TTL_CHOICES: [u32; 4] = [2, 30, 60, 300];
-/// Probability the exit node's resolver has the provider's bootstrap A
-/// record cached (mirrors `proxy::lifecycle`).
-const BOOTSTRAP_CACHE_HIT_P: f64 = 0.8;
 
 /// Per-country page-shape distribution parameters, drawn once per
 /// country from the campaign root stream.
@@ -300,9 +298,11 @@ fn cache_now(at: SimTime) -> u64 {
 }
 
 /// A node's dependencies are satisfied: resolve its hostname. Cache
-/// hits answer locally; misses cost a request leg + framing + optional
-/// loss stall + recursion + provider processing, all multiplexed on the
-/// page's shared connection. Schedules the completion event.
+/// hits answer locally; misses pay [`lifecycle::transport_query`],
+/// multiplexed on the page's shared connection, with the loss
+/// asymmetry lifted to page granularity: a TCP stall holds up every
+/// in-flight sibling, QUIC and UDP stay stream-local. Schedules the
+/// completion event.
 fn node_ready(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, node: u16, at: SimTime) {
     let mut s = run.borrow_mut();
     let s = &mut *s;
@@ -318,42 +318,22 @@ fn node_ready(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, node: u16, at: Si
         SimDuration::from_millis_f64(s.rng.lognormal_median(0.2, 0.2))
     } else {
         s.queries += 1;
-        let transport = s.transport;
         let _hot = dohperf_telemetry::alloc::hot_scope();
-        // Same cost model as `proxy::lifecycle::transport_query`, with
-        // the loss asymmetry lifted to page granularity: TCP stalls
-        // every in-flight sibling, QUIC and UDP stay stream-local.
-        let mut leg = sim.rtt(s.exit.node, s.pop);
-        let framing = s
-            .exit
-            .https_overhead(&mut s.rng)
-            .mul_f64(transport.framing_factor());
-        if s.rng.chance(s.extra_loss_p) {
-            match transport {
-                DnsTransport::Do53 => {
-                    leg += dohperf_netsim::transport::UDP_RETRY_TIMEOUT;
-                }
-                DnsTransport::DoH | DnsTransport::DoT => {
-                    let mut stall = SimDuration::ZERO;
-                    for _ in 0..transport.loss_stall_rtts() {
-                        stall += sim.rtt(s.exit.node, s.pop);
-                    }
-                    leg += stall;
-                    stall_others = stall;
-                }
-                DnsTransport::DoQ => {
-                    for _ in 0..transport.loss_stall_rtts() {
-                        leg += sim.rtt(s.exit.node, s.pop);
-                    }
-                }
-            }
-        }
         // Page hostnames are synthetic and per-campaign, so the
         // provider's recursive cache never has them: full recursion.
-        let recursion = sim.rtt(s.pop, s.auth);
-        let processing = s.provider.processing_time(&mut s.rng)
-            + s.provider.forwarding_penalty(s.exit.id, &mut s.rng);
-        leg + framing + recursion + processing
+        let cost = lifecycle::transport_query(
+            sim,
+            &s.exit,
+            s.pop,
+            s.auth,
+            s.provider,
+            s.transport,
+            s.extra_loss_p,
+            0.0,
+            &mut s.rng,
+        );
+        stall_others = cost.hol_stall;
+        cost.elapsed
     };
     if !hit {
         dohperf_telemetry::counter!("campaign.page_queries").inc();
@@ -561,29 +541,17 @@ pub fn measure_page(
             // Sweep entries that expired during the think-time gap so
             // the eviction counter sees them deterministically.
             s.cache.evict_expired(cache_now(visit_start));
-            // Cold visits bootstrap the provider hostname over Do53
-            // (encrypted transports only; Do53 targets the resolver
-            // address directly), then pay the full handshake. Warm
-            // visits re-acquire inside the keep-alive window for free.
-            if visit == 0 && transport.is_encrypted() {
-                let bootstrap = s.exit.do53_bootstrap(
-                    sim,
-                    pop,
-                    provider.hostname(),
-                    BOOTSTRAP_CACHE_HIT_P,
-                    &mut s.rng,
-                );
-                sim.advance(bootstrap);
+            // Cold visits bootstrap the provider hostname, then pay the
+            // full handshake. Warm visits re-acquire inside the
+            // keep-alive window for free.
+            if visit == 0 {
+                let boot = lifecycle::bootstrap(sim, &s.exit, pop, provider, transport, &mut s.rng);
+                sim.advance(boot);
             }
             let acq = conn.acquire(sim.now());
             s.generation = acq.generation;
-            let mut handshake = SimDuration::ZERO;
-            for _ in 0..transport.handshake_rtts(acq.warmth) {
-                handshake += sim.rtt(s.exit.node, pop);
-            }
-            if transport.is_encrypted() && acq.warmth == Warmth::Cold {
-                handshake += s.exit.handshake_crypto_overhead(&mut s.rng);
-            }
+            let handshake =
+                lifecycle::handshake_bill(sim, &s.exit, pop, transport, acq.warmth, &mut s.rng);
             sim.advance(handshake);
             s.last_done = sim.now();
             if recording {
@@ -723,6 +691,95 @@ mod tests {
             }
         }
         assert!(dupes > 10, "only {dupes}/64 pages had duplicate names");
+    }
+
+    /// Run `measure_page` for one transport on a fixed Brazilian exit
+    /// and Cloudflare deployment, returning the outcome's bits.
+    fn lossy_page_bits(transport: DnsTransport, seed: u64) -> [u64; 5] {
+        use dohperf_netsim::topology::{GeoPoint, NodeRole, NodeSpec};
+        use dohperf_world::countries::country;
+        use dohperf_world::geoloc::GeolocationService;
+
+        let mut sim = Simulator::new(seed);
+        let us = country("US").unwrap();
+        let auth = sim.add_node(
+            NodeSpec::new(
+                "auth-ns",
+                GeoPoint::new(39.0, -77.5),
+                NodeRole::AuthoritativeNs,
+            )
+            .with_infra(us.datacenter_profile()),
+        );
+        let deployment = PopDeployment::deploy(ProviderKind::Cloudflare, &mut sim);
+        let br = country("BR").unwrap();
+        let mut geoloc = GeolocationService::new(SimRng::new(1), 0.0, vec!["BR", "US"]);
+        let exit = ExitNode::create(
+            &mut sim,
+            &mut geoloc,
+            br,
+            0,
+            br.centroid(),
+            1,
+            &mut SimRng::new(1),
+        );
+        let pop_index = deployment.nearest_index(&exit.position);
+        let (_, model) = model_for(seed);
+        let out = measure_page(
+            &mut sim,
+            &exit,
+            ProviderKind::Cloudflare,
+            &deployment,
+            pop_index,
+            auth,
+            transport,
+            0.3,
+            &model,
+            2,
+            &mut SimRng::new(seed ^ 0x5eed),
+        );
+        [
+            out.plt_cold_ms.to_bits(),
+            out.plt_warm_ms.to_bits(),
+            u64::from(out.cold_cache_hits),
+            u64::from(out.warm_cache_hits),
+            u64::from(out.queries),
+        ]
+    }
+
+    /// `lossy_page_bits(t, seed)` for seeds 42 and 43, captured before
+    /// the page path shared `proxy::lifecycle`'s per-query cost.
+    #[rustfmt::skip]
+    const LOSSY_PAGE_GOLDEN: [(DnsTransport, [[u64; 5]; 2]); 4] = [
+        (DnsTransport::Do53, [
+            [0x40a2776578811b1e, 0x405e436ca03c4b0a, 0x3, 0xb, 0xe],
+            [0x40ab3bcf10a99b6f, 0x40a273d6ddce7cd0, 0x0, 0x10, 0x22],
+        ]),
+        (DnsTransport::DoH, [
+            [0x408798aacc92146a, 0x40626dcd31769a91, 0x3, 0xb, 0xe],
+            [0x408bb17c68ec52a4, 0x40812c00ad03d9a9, 0x0, 0xf, 0x23],
+        ]),
+        (DnsTransport::DoT, [
+            [0x4087475b5a63f9a5, 0x40623469552e2fbe, 0x3, 0xb, 0xe],
+            [0x408b26356f32bdc2, 0x4081d94ab367a0f9, 0x0, 0xf, 0x23],
+        ]),
+        (DnsTransport::DoQ, [
+            [0x40823b73b9f127f6, 0x40624797f84449dc, 0x3, 0xb, 0xe],
+            [0x4087629fb8b26395, 0x407f6c92b3cc4ac7, 0x0, 0xf, 0x23],
+        ]),
+    ];
+
+    /// Golden: page loads at 30% loss, which no campaign gate runs.
+    #[test]
+    fn lossy_page_loads_are_pinned() {
+        for (transport, runs) in LOSSY_PAGE_GOLDEN {
+            for (seed, want) in [42, 43].into_iter().zip(runs) {
+                assert_eq!(
+                    lossy_page_bits(transport, seed),
+                    want,
+                    "{transport:?} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,12 @@ use std::net::Ipv4Addr;
 /// Conventional maximum UDP payload without EDNS (RFC 1035 §4.2.1).
 pub const CLASSIC_UDP_LIMIT: usize = 512;
 
+/// Smallest question on the wire: root name (1) + type (2) + class (2).
+const MIN_QUESTION_LEN: usize = 5;
+/// Smallest resource record on the wire: root name (1) + type (2) +
+/// class (2) + TTL (4) + RDLENGTH (2), with empty RDATA.
+const MIN_RECORD_LEN: usize = 11;
+
 /// A complete DNS message: header plus four sections.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Message {
@@ -148,12 +154,15 @@ impl Message {
     fn decode_inner(buf: &[u8]) -> Result<Self, DnsError> {
         let mut r = WireReader::new(buf);
         let header = Header::decode(&mut r)?;
-        let mut questions = Vec::with_capacity(header.qdcount as usize);
+        // Header counts are untrusted: reserve no more entries than the
+        // remaining bytes could hold at each section's minimum wire size.
+        let mut questions =
+            Vec::with_capacity((header.qdcount as usize).min(r.remaining() / MIN_QUESTION_LEN));
         for _ in 0..header.qdcount {
             questions.push(Question::decode(&mut r)?);
         }
         let mut read_section = |count: u16| -> Result<Vec<ResourceRecord>, DnsError> {
-            let mut v = Vec::with_capacity(count as usize);
+            let mut v = Vec::with_capacity((count as usize).min(r.remaining() / MIN_RECORD_LEN));
             for _ in 0..count {
                 v.push(ResourceRecord::decode(&mut r)?);
             }
@@ -292,6 +301,27 @@ mod tests {
     fn classic_udp_query_fits() {
         let q = sample_query();
         assert!(q.encoded_len().unwrap() <= CLASSIC_UDP_LIMIT);
+    }
+
+    /// A bare 12-byte header claiming the maximum count of questions or
+    /// answers is truncated, not a reason to reserve 65,535 entries.
+    #[test]
+    fn header_counts_beyond_the_buffer_are_truncated() {
+        for counts in [
+            [u16::MAX, 0, 0, 0],
+            [0, u16::MAX, 0, 0],
+            [0, 0, 0, u16::MAX],
+        ] {
+            let mut buf = vec![0x12, 0x34, 0x01, 0x00];
+            for c in counts {
+                buf.extend_from_slice(&c.to_be_bytes());
+            }
+            assert_eq!(
+                Message::decode(&buf),
+                Err(DnsError::Truncated),
+                "{counts:?}"
+            );
+        }
     }
 
     #[test]

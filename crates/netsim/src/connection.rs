@@ -2,7 +2,7 @@
 //! transports (DESIGN.md §13).
 //!
 //! The paper measures DoH against Do53 only; this module adds the
-//! connection-state machinery needed to compare the full encrypted-DNS
+//! connection lifecycle needed to compare the full encrypted-DNS
 //! family — DoH (RFC 8484), DoT (RFC 7858) and DoQ (RFC 9250) — under
 //! explicit cold/warm/resumed connection states:
 //!
@@ -25,7 +25,7 @@
 //! that asymmetry so packet loss visibly separates
 //! H2 from QUIC in the tail quantiles.
 //!
-//! Everything here is deterministic: the state machine consumes no
+//! Everything here is deterministic: the lifecycle consumes no
 //! randomness, idle timeouts are fixed per transport, and each
 //! re-established connection carries a monotonically increasing
 //! *generation* tag so reuse-after-timeout can never be confused with
@@ -33,6 +33,10 @@
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+/// Stub-resolver retransmission timeout: a Do53 query whose datagram
+/// is lost waits this long before it retries.
+pub const UDP_RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(1000);
 
 /// The four DNS transports of the extended campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -108,7 +112,7 @@ impl DnsTransport {
     /// behind the retransmission — detection plus recovery costs about
     /// two extra round trips. QUIC recovers within the affected stream
     /// in one. Do53 instead waits out the stub-resolver retransmission
-    /// timer (see [`crate::transport::UDP_RETRY_TIMEOUT`]).
+    /// timer (see [`UDP_RETRY_TIMEOUT`]).
     pub fn loss_stall_rtts(self) -> u32 {
         match self {
             DnsTransport::Do53 => 0,
@@ -119,10 +123,9 @@ impl DnsTransport {
 
     /// Application-framing multiplier applied to the HTTPS message
     /// overhead draw. DoH pays full HTTP/2 HEADERS+DATA framing
-    /// (factor 1); DoT's 2-byte length prefix trims it to the same
-    /// 0.65 factor the legacy `compare-dot` ablation uses; DoQ's
-    /// QUIC+"doq" framing sits between the two. Do53 carries bare
-    /// DNS messages.
+    /// (factor 1); DoT's 2-byte length prefix, with no HTTP headers to
+    /// serialise or parse, trims it to 0.65; DoQ's QUIC+"doq" framing
+    /// sits between the two. Do53 carries bare DNS messages.
     pub fn framing_factor(self) -> f64 {
         match self {
             DnsTransport::Do53 => 0.0,
@@ -171,20 +174,6 @@ impl Warmth {
     }
 }
 
-/// Observable connection state (the nodes of the lifecycle diagram in
-/// DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnState {
-    /// Never connected.
-    Idle,
-    /// Handshake in flight.
-    Handshaking,
-    /// Usable connection inside its keep-alive window.
-    Established,
-    /// Keep-alive expired; a session ticket is retained.
-    TimedOut,
-}
-
 /// What [`Connection::acquire`] decided for one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Acquired {
@@ -197,18 +186,18 @@ pub struct Acquired {
     pub generation: u32,
 }
 
-/// A per-(client, provider) connection state machine.
+/// A per-(client, provider) connection lifecycle.
 ///
-/// The machine is purely mechanical — it consumes no randomness and
+/// The lifecycle is purely mechanical — it consumes no randomness and
 /// performs no I/O; callers charge the RTT bill that
 /// [`DnsTransport::handshake_rtts`] prescribes for the returned
-/// [`Warmth`]. Transitions:
+/// [`Warmth`]. Warmth follows from the generation and the idle timeout
+/// alone:
 ///
 /// ```text
-/// Idle ── begin_handshake ──► Handshaking ── complete ──► Established
-///                                  ▲                          │ idle
-///                                  │ begin_handshake          ▼ timeout
-///                                  └────────────────────── TimedOut
+/// generation 0                        ──► Cold     (generation 1)
+/// idle gap ≤ idle_timeout             ──► Warm     (same generation)
+/// idle gap > idle_timeout (ticket held) ► Resumed  (generation + 1)
 /// ```
 ///
 /// ```
@@ -228,10 +217,10 @@ pub struct Acquired {
 #[derive(Debug, Clone)]
 pub struct Connection {
     transport: DnsTransport,
-    state: ConnState,
+    /// 0 before the first handshake; every (re-)establishment bumps it
+    /// and leaves a session ticket behind.
     generation: u32,
     last_used: SimTime,
-    has_ticket: bool,
 }
 
 impl Connection {
@@ -239,110 +228,32 @@ impl Connection {
     pub fn new(transport: DnsTransport) -> Connection {
         Connection {
             transport,
-            state: ConnState::Idle,
             generation: 0,
             last_used: SimTime::ZERO,
-            has_ticket: false,
         }
     }
 
-    /// The transport this lifecycle models.
-    pub fn transport(&self) -> DnsTransport {
-        self.transport
-    }
-
-    /// Current lifecycle state, with the idle-timeout check applied as
-    /// of `now`.
-    pub fn state(&self, now: SimTime) -> ConnState {
-        match self.state {
-            ConnState::Established if self.idle_expired(now) => ConnState::TimedOut,
-            other => other,
-        }
-    }
-
-    /// Generation of the current (or most recent) connection; 0 before
-    /// the first handshake.
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
-    fn idle_expired(&self, now: SimTime) -> bool {
-        now.saturating_since(self.last_used) > self.transport.idle_timeout()
-    }
-
-    /// Step 1 of an explicit handshake: decide the warmth and move to
-    /// `Handshaking`. Callers that don't need the intermediate state
-    /// can use [`Connection::acquire`] instead.
-    ///
-    /// Panics if called while a usable connection exists — check
-    /// [`Connection::try_reuse`] first.
-    pub fn begin_handshake(&mut self, now: SimTime) -> Warmth {
-        assert!(
-            !matches!(
-                self.state(now),
-                ConnState::Established | ConnState::Handshaking
-            ),
-            "handshake started over a usable connection"
-        );
-        self.state = ConnState::Handshaking;
-        if self.has_ticket {
+    /// Acquire a usable connection for a query at `now`: reuse the
+    /// established one inside its keep-alive window (the window
+    /// restarts), otherwise (re-)establish it. The caller charges the
+    /// RTT bill for the returned warmth ([`DnsTransport::handshake_rtts`])
+    /// and advances its own clock.
+    pub fn acquire(&mut self, now: SimTime) -> Acquired {
+        let warmth = if self.generation == 0 {
+            Warmth::Cold
+        } else if now.saturating_since(self.last_used) > self.transport.idle_timeout() {
             Warmth::Resumed
         } else {
-            Warmth::Cold
-        }
-    }
-
-    /// Step 2: the handshake flight completed at `now`. Bumps the
-    /// generation, stores a session ticket for future resumption and
-    /// opens the keep-alive window.
-    pub fn complete_handshake(&mut self, now: SimTime) {
-        debug_assert_eq!(self.state, ConnState::Handshaking, "no handshake in flight");
-        self.state = ConnState::Established;
-        self.generation += 1;
-        self.has_ticket = true;
-        self.last_used = now;
-    }
-
-    /// Reuse the established connection if its keep-alive window is
-    /// still open at `now`. On success the window restarts; on idle
-    /// expiry the state decays to `TimedOut` and `None` is returned.
-    pub fn try_reuse(&mut self, now: SimTime) -> Option<Acquired> {
-        if self.state != ConnState::Established {
-            return None;
-        }
-        if self.idle_expired(now) {
-            self.state = ConnState::TimedOut;
-            return None;
+            Warmth::Warm
+        };
+        if warmth != Warmth::Warm {
+            self.generation += 1;
         }
         self.last_used = now;
-        Some(Acquired {
-            warmth: Warmth::Warm,
-            generation: self.generation,
-        })
-    }
-
-    /// Acquire a usable connection for a query at `now`, running the
-    /// begin/complete handshake pair when reuse is impossible. The
-    /// caller charges the RTT bill for the returned warmth
-    /// ([`DnsTransport::handshake_rtts`]) and advances its own clock;
-    /// the state machine itself is time-bill-agnostic.
-    pub fn acquire(&mut self, now: SimTime) -> Acquired {
-        if let Some(reused) = self.try_reuse(now) {
-            return reused;
-        }
-        let warmth = self.begin_handshake(now);
-        self.complete_handshake(now);
         Acquired {
             warmth,
             generation: self.generation,
         }
-    }
-
-    /// Explicitly drop the connection and its session ticket (e.g. the
-    /// peer sent a fatal alert). The next acquire is cold again.
-    pub fn reset(&mut self) {
-        self.state = ConnState::Idle;
-        self.has_ticket = false;
     }
 }
 
@@ -356,57 +267,29 @@ mod tests {
         SimTime::ZERO + MS.saturating_mul(ms)
     }
 
-    /// Satellite: the state-machine table test. Every transition of the
-    /// lifecycle diagram — idle → handshaking → established → reused →
-    /// timed-out → re-established — is driven per encrypted transport,
-    /// with the generation tag checked at each step.
+    /// The lifecycle table: cold → warm → timed out and resumed →
+    /// warm again, per encrypted transport, with the generation tag
+    /// checked at each step.
     #[test]
     fn lifecycle_table_covers_every_transition_per_transport() {
         for transport in [DnsTransport::DoH, DnsTransport::DoT, DnsTransport::DoQ] {
             let idle = transport.idle_timeout();
             let mut conn = Connection::new(transport);
+            let mut step = |now: SimTime| {
+                let got = conn.acquire(now);
+                (got.warmth, got.generation)
+            };
 
-            // idle: nothing to reuse, generation 0.
-            assert_eq!(conn.state(at(0)), ConnState::Idle);
-            assert_eq!(conn.generation(), 0);
-            assert_eq!(conn.try_reuse(at(0)), None);
-
-            // idle -> handshaking: first handshake is cold.
-            let warmth = conn.begin_handshake(at(0));
-            assert_eq!(warmth, Warmth::Cold, "{transport:?}");
-            assert_eq!(conn.state(at(0)), ConnState::Handshaking);
-
-            // handshaking -> established: generation 1, window open.
-            conn.complete_handshake(at(0));
-            assert_eq!(conn.state(at(0)), ConnState::Established);
-            assert_eq!(conn.generation(), 1);
-
-            // established -> reused: inside the keep-alive window.
-            let reused = conn.try_reuse(at(1)).expect("reuse inside window");
-            assert_eq!(reused.warmth, Warmth::Warm);
-            assert_eq!(reused.generation, 1);
-
-            // established -> timed-out: one tick past the idle window
-            // (measured from the reuse, which restarted it).
+            // Never connected: the first handshake is cold.
+            assert_eq!(step(at(0)), (Warmth::Cold, 1), "{transport:?}");
+            // Inside the keep-alive window: reuse of generation 1.
+            assert_eq!(step(at(1)), (Warmth::Warm, 1));
+            // One tick past the window (measured from the reuse, which
+            // restarted it): the ticket resumes a new generation.
             let expiry = at(1) + idle + MS;
-            assert_eq!(conn.state(expiry), ConnState::TimedOut);
-            assert_eq!(conn.try_reuse(expiry), None, "reuse after timeout");
-            assert_eq!(conn.state(expiry), ConnState::TimedOut);
-
-            // timed-out -> re-established: resumption, generation 2.
-            let warmth = conn.begin_handshake(expiry);
-            assert_eq!(warmth, Warmth::Resumed, "{transport:?}");
-            conn.complete_handshake(expiry);
-            assert_eq!(conn.state(expiry), ConnState::Established);
-            assert_eq!(conn.generation(), 2);
-
-            // The generation-tagged reuse-after-timeout edge: a reuse
-            // on the re-established connection carries the new tag.
-            let reused = conn
-                .try_reuse(expiry + MS)
-                .expect("reuse after re-establish");
-            assert_eq!(reused.warmth, Warmth::Warm);
-            assert_eq!(reused.generation, 2, "stale generation after timeout");
+            assert_eq!(step(expiry), (Warmth::Resumed, 2), "{transport:?}");
+            // Reuse after re-establishment carries the new tag.
+            assert_eq!(step(expiry + MS), (Warmth::Warm, 2), "stale generation");
         }
     }
 
@@ -432,21 +315,8 @@ mod tests {
         let mut conn = Connection::new(DnsTransport::DoH);
         conn.acquire(at(0));
         let boundary = SimTime::ZERO + DnsTransport::DoH.idle_timeout();
-        assert_eq!(
-            conn.try_reuse(boundary).map(|a| a.warmth),
-            Some(Warmth::Warm)
-        );
-    }
-
-    #[test]
-    fn reset_drops_the_session_ticket() {
-        let mut conn = Connection::new(DnsTransport::DoQ);
-        conn.acquire(at(0));
-        conn.reset();
-        assert_eq!(conn.state(at(1)), ConnState::Idle);
-        let again = conn.acquire(at(1));
-        assert_eq!(again.warmth, Warmth::Cold, "ticket survived reset");
-        assert_eq!(again.generation, 2);
+        let reused = conn.acquire(boundary);
+        assert_eq!((reused.warmth, reused.generation), (Warmth::Warm, 1));
     }
 
     #[test]

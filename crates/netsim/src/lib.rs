@@ -29,13 +29,11 @@
 //! * [`topology`] — nodes with geographic positions and roles.
 //! * [`latency`] — the generative latency model: geodesic propagation,
 //!   infrastructure-dependent path inflation, last-mile distributions.
-//! * [`transport`] — the TLS version selector and the UDP retransmission
-//!   timeout shared by the protocol layers.
 //! * [`connection`] — the per-(client, provider) connection lifecycle for
-//!   encrypted DNS transports (DoH/DoT/DoQ): cold, resumed and warm
+//!   the DNS transports (Do53/DoH/DoT/DoQ): cold, resumed and warm
 //!   handshake costs, keep-alive reuse with deterministic idle timeout,
-//!   generation-tagged re-establishment, and the H2-vs-QUIC loss-stall
-//!   asymmetry.
+//!   generation-tagged re-establishment, the H2-vs-QUIC loss-stall
+//!   asymmetry and the UDP retransmission timeout.
 //! * [`trace`] — the packet trace log used by the §4.3 experiment.
 //!
 //! ## Quick example
@@ -58,9 +56,8 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 pub mod trace;
-pub mod transport;
 
-pub use connection::{Acquired, ConnState, Connection, DnsTransport, Warmth};
+pub use connection::{Acquired, Connection, DnsTransport, Warmth};
 pub use engine::Simulator;
 pub use event::{EventId, EventQueue};
 pub use latency::{InfraProfile, LatencyModel, PathModel};
@@ -68,16 +65,14 @@ pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
 pub use trace::{PacketDirection, PacketRecord, TraceLog};
-pub use transport::TlsVersion;
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::connection::{Acquired, ConnState, Connection, DnsTransport, Warmth};
+    pub use crate::connection::{Acquired, Connection, DnsTransport, Warmth};
     pub use crate::engine::Simulator;
     pub use crate::latency::{InfraProfile, LatencyModel, PathModel};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
     pub use crate::trace::{PacketDirection, PacketRecord, TraceLog};
-    pub use crate::transport::TlsVersion;
 }

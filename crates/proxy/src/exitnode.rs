@@ -13,6 +13,10 @@ use dohperf_providers::ispresolver::IspResolverModel;
 use dohperf_world::countries::Country;
 use dohperf_world::geoloc::{GeolocationService, Prefix24};
 
+/// Probability the exit node's resolver has a DoH provider's bootstrap
+/// A record cached (popular hostnames are nearly always warm).
+pub(crate) const BOOTSTRAP_CACHE_HIT_P: f64 = 0.8;
+
 /// What kind of machine the exit node is.
 ///
 /// The distinction matters for the §4 validation: the paper's
@@ -160,8 +164,9 @@ impl ExitNode {
     }
 
     /// Bootstrap resolution of a popular hostname (a DoH provider
-    /// endpoint): usually a resolver cache hit, occasionally a recursion
-    /// to the provider's nearby authoritative/anycast node.
+    /// endpoint): usually a resolver cache hit (every measurement path
+    /// passes `BOOTSTRAP_CACHE_HIT_P`), occasionally a recursion to the
+    /// provider's nearby authoritative/anycast node.
     pub fn do53_bootstrap(
         &self,
         sim: &mut Simulator,

@@ -16,6 +16,9 @@
 //! * [`network`] — the BrightData network: exit pools per country,
 //!   exit-node selection, and the full Figure 2 choreography for DoH and
 //!   Do53 measurements.
+//! * [`lifecycle`] — the Do53/DoH/DoT/DoQ connection-lifecycle
+//!   measurement, and the one bootstrap, handshake and per-query cost
+//!   model every lifecycle and page-load query is charged through.
 //! * [`atlas`] — a RIPE Atlas-style probe network supporting direct Do53
 //!   measurements (no proxy in the path).
 

@@ -5,7 +5,7 @@
 //! extended campaign's transport comparison: the same provider PoP is
 //! queried over each of the four DNS transports — Do53 (plain UDP to
 //! the provider's public resolver), DoH, DoT and DoQ — driving the
-//! [`Connection`] state machine through its full lifecycle so every
+//! [`Connection`] through its full lifecycle so every
 //! observation records a **cold**, **warm** and **resumed** query on
 //! the same (client, provider) pair.
 //!
@@ -15,16 +15,22 @@
 //! over the lifecycle phases lives in `dohperf_core::equations` as the
 //! Eq 1–8 analogues for the new transports.
 //!
+//! [`bootstrap`], [`handshake_bill`] and [`transport_query`] are the
+//! crate's one cost model for these transports; the page-load workload
+//! (`dohperf_core::pageload`) charges its resolutions through the same
+//! three functions. Each computes a duration and leaves the clock
+//! alone: the caller advances it.
+//!
 //! Determinism contract (DESIGN.md §13): this path consumes only the
 //! `SimRng` handed to it — campaigns pass a fresh
 //! `fork_parts`-derived stream per (client, provider, transport) — and
-//! the connection state machine itself consumes no randomness, so
-//! enabling the extra transports never perturbs the legacy DoH/Do53
-//! draw sequences.
+//! the connection lifecycle itself consumes no randomness, so enabling
+//! the extra transports never perturbs the legacy DoH/Do53 draw
+//! sequences.
 
-use crate::exitnode::ExitNode;
+use crate::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
 use crate::network::BrightDataNetwork;
-use dohperf_netsim::connection::{Connection, DnsTransport, Warmth};
+use dohperf_netsim::connection::{Connection, DnsTransport, Warmth, UDP_RETRY_TIMEOUT};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::{SimDuration, SimTime};
@@ -33,10 +39,6 @@ use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_telemetry::flight;
 use serde::{Deserialize, Serialize};
-
-/// Probability the exit node's resolver has the provider's bootstrap
-/// A record cached (mirrors the legacy DoH path).
-const BOOTSTRAP_CACHE_HIT_P: f64 = 0.8;
 
 /// One transport's full connection-lifecycle observation for one
 /// (client, provider) pair: timestamps bracketing the cold handshake
@@ -77,15 +79,30 @@ pub struct TransportObservation {
     pub resumed_generation: u32,
 }
 
-/// One query on an acquired connection: request leg, framing, optional
-/// loss stall, recursion to the authoritative, provider processing.
-struct QueryOutcome {
-    elapsed: SimDuration,
-    framing: SimDuration,
+/// The cost of one query on an acquired connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryCost {
+    /// Request leg + framing + loss stall + recursion + processing.
+    pub elapsed: SimDuration,
+    /// Application-framing component of `elapsed`.
+    pub framing: SimDuration,
+    /// TCP head-of-line stall: when a segment of a TCP-based transport
+    /// (DoH, DoT) is lost, every other stream on the connection waits
+    /// this long as well. Zero for QUIC, Do53 and loss-free queries.
+    pub hol_stall: SimDuration,
 }
 
+/// Cost of one query on an acquired connection: request leg, framing,
+/// optional loss stall, recursion to the authoritative (skipped on a
+/// provider cache hit), provider processing. Does not advance the
+/// clock.
+///
+/// Draw order: leg RTT, framing, the loss chance, the stall RTTs, the
+/// cache-hit chance (none at `cache_hit_p <= 0`), recursion RTT,
+/// processing.
+#[inline]
 #[allow(clippy::too_many_arguments)]
-fn transport_query(
+pub fn transport_query(
     sim: &mut Simulator,
     exit: &ExitNode,
     pop: NodeId,
@@ -95,32 +112,31 @@ fn transport_query(
     extra_loss_p: f64,
     cache_hit_p: f64,
     rng: &mut SimRng,
-) -> QueryOutcome {
+) -> QueryCost {
     let mut leg = sim.rtt(exit.node, pop);
     let framing = exit.https_overhead(rng).mul_f64(transport.framing_factor());
+    let mut hol_stall = SimDuration::ZERO;
     if rng.chance(extra_loss_p) {
+        // TCP blocks every stream behind the retransmission (≈2 RTTs of
+        // detection + recovery), QUIC recovers inside the affected
+        // stream (≈1 RTT), and a lost datagram burns the stub's
+        // retransmission timer.
+        let mut stall = SimDuration::ZERO;
+        for _ in 0..transport.loss_stall_rtts() {
+            stall += sim.rtt(exit.node, pop);
+        }
         match transport {
             DnsTransport::Do53 => {
-                // A lost datagram burns the stub retransmission timer.
                 dohperf_telemetry::counter!("proxy.transport_udp_timeouts").inc();
-                leg += dohperf_netsim::transport::UDP_RETRY_TIMEOUT;
+                stall = UDP_RETRY_TIMEOUT;
             }
             DnsTransport::DoH | DnsTransport::DoT => {
-                // TCP head-of-line blocking: every stream stalls for
-                // detection + retransmission (≈2 RTTs).
                 dohperf_telemetry::counter!("proxy.h2_loss_stalls").inc();
-                for _ in 0..transport.loss_stall_rtts() {
-                    leg += sim.rtt(exit.node, pop);
-                }
+                hol_stall = stall;
             }
-            DnsTransport::DoQ => {
-                // QUIC recovers inside the affected stream (≈1 RTT).
-                dohperf_telemetry::counter!("proxy.quic_loss_stalls").inc();
-                for _ in 0..transport.loss_stall_rtts() {
-                    leg += sim.rtt(exit.node, pop);
-                }
-            }
+            DnsTransport::DoQ => dohperf_telemetry::counter!("proxy.quic_loss_stalls").inc(),
         }
+        leg += stall;
     }
     let cache_hit = rng.chance(cache_hit_p);
     let recursion = if cache_hit {
@@ -133,16 +149,37 @@ fn transport_query(
     } else {
         provider.processing_time(rng) + provider.forwarding_penalty(exit.id, rng)
     };
-    let elapsed = leg + framing + recursion + processing;
-    sim.advance(elapsed);
-    QueryOutcome { elapsed, framing }
+    QueryCost {
+        elapsed: leg + framing + recursion + processing,
+        framing,
+        hol_stall,
+    }
 }
 
-/// Charge the handshake bill for one acquisition: `handshake_rtts`
-/// sampled round trips plus (on full handshakes of encrypted
-/// transports) the endpoint crypto overhead. Resumed handshakes are
-/// ticket-based and skip the asymmetric crypto.
-fn handshake_bill(
+/// Cost of resolving the provider hostname at the exit node before the
+/// first handshake. Encrypted transports only: plain Do53 targets the
+/// resolver address directly and pays nothing. Does not advance the
+/// clock.
+pub fn bootstrap(
+    sim: &mut Simulator,
+    exit: &ExitNode,
+    pop: NodeId,
+    provider: ProviderKind,
+    transport: DnsTransport,
+    rng: &mut SimRng,
+) -> SimDuration {
+    if transport.is_encrypted() {
+        exit.do53_bootstrap(sim, pop, provider.hostname(), BOOTSTRAP_CACHE_HIT_P, rng)
+    } else {
+        SimDuration::ZERO
+    }
+}
+
+/// The handshake bill for one acquisition: `handshake_rtts` sampled
+/// round trips plus (on full handshakes of encrypted transports) the
+/// endpoint crypto overhead. Resumed handshakes are ticket-based and
+/// skip the asymmetric crypto. Does not advance the clock.
+pub fn handshake_bill(
     sim: &mut Simulator,
     exit: &ExitNode,
     pop: NodeId,
@@ -157,7 +194,6 @@ fn handshake_bill(
     if transport.is_encrypted() && warmth == Warmth::Cold {
         cost += exit.handshake_crypto_overhead(rng);
     }
-    sim.advance(cost);
     cost
 }
 
@@ -199,14 +235,8 @@ impl BrightDataNetwork {
             flight::SpanToken::NOOP
         };
 
-        // Bootstrap: resolve the provider hostname (encrypted transports
-        // only; plain Do53 targets the resolver address directly).
-        let bootstrap = if transport.is_encrypted() {
-            exit.do53_bootstrap(sim, pop, provider.hostname(), BOOTSTRAP_CACHE_HIT_P, rng)
-        } else {
-            SimDuration::ZERO
-        };
-        sim.advance(bootstrap);
+        let boot = bootstrap(sim, exit, pop, provider, transport, rng);
+        sim.advance(boot);
         let t_bs = sim.now();
 
         // Cold handshake.
@@ -222,6 +252,7 @@ impl BrightDataNetwork {
             flight::SpanToken::NOOP
         };
         let hs_cost = handshake_bill(sim, exit, pop, transport, cold.warmth, rng);
+        sim.advance(hs_cost);
         let t_hs = sim.now();
         if recording {
             flight::attr(hs_span, "warmth", cold.warmth.name());
@@ -251,6 +282,7 @@ impl BrightDataNetwork {
             cache_hit_p,
             rng,
         );
+        sim.advance(cold_q.elapsed);
         let t_cold_done = sim.now();
 
         // Warm reuse inside the keep-alive window.
@@ -270,6 +302,7 @@ impl BrightDataNetwork {
             cache_hit_p,
             rng,
         );
+        sim.advance(warm_q.elapsed);
         let t_warm_done = sim.now();
 
         // Let the connection idle out, then resume with the session
@@ -302,6 +335,7 @@ impl BrightDataNetwork {
             flight::SpanToken::NOOP
         };
         let resumed_cost = handshake_bill(sim, exit, pop, transport, Warmth::Resumed, rng);
+        sim.advance(resumed_cost);
         let t_resumed_hs = sim.now();
         if transport.is_encrypted() {
             dohperf_telemetry::counter!("proxy.transport_resumptions").inc();
@@ -336,6 +370,7 @@ impl BrightDataNetwork {
             cache_hit_p,
             rng,
         );
+        sim.advance(resumed_q.elapsed);
         let t_resumed_done = sim.now();
 
         if recording {
@@ -573,6 +608,78 @@ mod tests {
             doh_p90 > doq_p90,
             "H2 tail {doh_p90} should exceed QUIC tail {doq_p90} under loss"
         );
+    }
+
+    /// Every instant and framing component of `obs`, in nanoseconds,
+    /// followed by the two connection generations.
+    fn bits(obs: &TransportObservation) -> [u64; 14] {
+        [
+            obs.t_a.as_nanos(),
+            obs.t_bs.as_nanos(),
+            obs.t_hs.as_nanos(),
+            obs.t_cold_done.as_nanos(),
+            obs.t_warm_start.as_nanos(),
+            obs.t_warm_done.as_nanos(),
+            obs.t_resumed_start.as_nanos(),
+            obs.t_resumed_hs.as_nanos(),
+            obs.t_resumed_done.as_nanos(),
+            obs.cold_framing.as_nanos(),
+            obs.warm_framing.as_nanos(),
+            obs.resumed_framing.as_nanos(),
+            u64::from(obs.cold_generation),
+            u64::from(obs.resumed_generation),
+        ]
+    }
+
+    /// `bits` of `measure(31, 17 + i, t, 0.3)` for i in 0..6, captured
+    /// before the per-query cost was shared with the page-load path.
+    #[rustfmt::skip]
+    const LOSSY_GOLDEN: [(DnsTransport, [[u64; 14]; 6]); 4] = [
+        (DnsTransport::Do53, [
+            [0, 0, 0, 113643051, 113643051, 1230761671, 1231761671, 1231761671, 1347133145, 0, 0, 0, 1, 1],
+            [0, 0, 0, 1114052519, 1114052519, 2237415241, 2238415241, 2238415241, 3357628436, 0, 0, 0, 1, 1],
+            [0, 0, 0, 121766451, 121766451, 234980384, 235980384, 235980384, 1357757714, 0, 0, 0, 1, 1],
+            [0, 0, 0, 114277537, 114277537, 232565880, 233565880, 233565880, 352823487, 0, 0, 0, 1, 1],
+            [0, 0, 0, 114526429, 114526429, 235501935, 236501935, 236501935, 353494886, 0, 0, 0, 1, 1],
+            [0, 0, 0, 120479701, 120479701, 236567626, 237567626, 237567626, 354288257, 0, 0, 0, 1, 1],
+        ]),
+        (DnsTransport::DoH, [
+            [0, 133705142, 183012750, 303768385, 303768385, 426026092, 10427026092, 10446488578, 10566981402, 1982849, 4136862, 4583855, 1, 2],
+            [0, 452707798, 503707893, 666987677, 666987677, 827075826, 10828075826, 10848403858, 10968588530, 1486113, 4941785, 3933719, 1, 2],
+            [0, 387119895, 465251489, 582268602, 582268602, 748646327, 10749646327, 10767733928, 10899956267, 4046165, 6128194, 13081835, 1, 2],
+            [0, 132998303, 189840667, 315764205, 315764205, 438159895, 10439159895, 10458622381, 10583512096, 7712903, 4988466, 6883388, 1, 2],
+            [0, 132748463, 202003712, 358480289, 358480289, 518506780, 10519506780, 10537672954, 10659811027, 2336868, 8429755, 4329540, 1, 2],
+            [0, 133135403, 189853609, 359559446, 359559446, 515963069, 10516963069, 10535129243, 10659828960, 10003520, 2998359, 4934389, 1, 2],
+        ]),
+        (DnsTransport::DoT, [
+            [0, 133705142, 183012750, 303074387, 303074387, 423884192, 10424884192, 10444346678, 10563235152, 1288851, 2688960, 2979505, 1, 2],
+            [0, 452707798, 503707893, 666467537, 666467537, 824826061, 10825826061, 10846154093, 10964961963, 965973, 3212160, 2556917, 1, 2],
+            [0, 387119895, 465251489, 580852444, 580852444, 745085301, 10746085301, 10764172902, 10891816598, 2630007, 3983326, 8503192, 1, 2],
+            [0, 132998303, 189840667, 313064688, 313064688, 433714414, 10434714414, 10454176900, 10576657429, 5013386, 3242502, 4474202, 1, 2],
+            [0, 132748463, 202003712, 357662385, 357662385, 514738461, 10515738461, 10533904635, 10654527368, 1518964, 5479340, 2814200, 1, 2],
+            [0, 133135403, 189853609, 356058214, 356058214, 511412411, 10512412411, 10530578585, 10653551265, 6502288, 1948933, 3207352, 1, 2],
+        ]),
+        (DnsTransport::DoQ, [
+            [0, 133705142, 164812724, 284399179, 284399179, 404930412, 30405930412, 30405930412, 30527350834, 1586279, 3309489, 3667084, 1, 2],
+            [0, 452707798, 484046674, 628016520, 628016520, 771368330, 30772368330, 30772368330, 30890648216, 1188890, 3953428, 3146975, 1, 2],
+            [0, 387119895, 445590270, 562813745, 562813745, 709852245, 30710852245, 30710852245, 30839461248, 3236932, 4902555, 10465468, 1, 2],
+            [0, 132998303, 171640641, 295248988, 295248988, 415747883, 30416747883, 30416747883, 30542105289, 6170322, 3990772, 5506710, 1, 2],
+            [0, 132748463, 183803686, 320152871, 320152871, 461584171, 30462584171, 30462584171, 30581209292, 1869494, 6743804, 3463632, 1, 2],
+            [0, 133135403, 171653583, 319698698, 319698698, 458593409, 30459593409, 30459593409, 30580659204, 8002816, 2398687, 3947511, 1, 2],
+        ]),
+    ];
+
+    /// Golden: the loss path, which no campaign gate exercises (every
+    /// gate runs at `extra_loss_p = 0`), pinned to the nanosecond for
+    /// all four transports at 30% loss.
+    #[test]
+    fn lossy_lifecycle_is_pinned() {
+        for (transport, runs) in LOSSY_GOLDEN {
+            for (i, want) in runs.iter().enumerate() {
+                let got = bits(&measure(31, 17 + i as u64, transport, 0.3));
+                assert_eq!(&got, want, "{transport:?} run {i}");
+            }
+        }
     }
 
     #[test]

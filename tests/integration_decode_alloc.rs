@@ -1,6 +1,6 @@
-//! Crafted chunk streams fail cheaply (DESIGN.md §10).
+//! Crafted chunk streams and DNS headers fail cheaply (DESIGN.md §10).
 //!
-//! Two inputs used to buy a large allocation with a few bytes:
+//! Four inputs used to buy a large allocation with a few bytes:
 //!
 //! 1. **forged record count** — a 24-byte chunk: a valid 20-byte header
 //!    claiming the format's maximum record count, and a 4-byte payload of
@@ -8,10 +8,15 @@
 //!    from the count before reading a byte of it.
 //! 2. **missing payload** — a lone 20-byte header claiming a 64 MiB
 //!    payload. The reader zero-filled the claimed length before reading.
+//! 3. **forged question count** — a bare 12-byte DNS header claiming
+//!    65,535 questions. `Message::decode` reserved all of them (2 MB)
+//!    before reading the first.
+//! 4. **forged answer count** — the same with 65,535 answers (7 MB).
 //!
-//! Both must fail with the same error from `ChunkReader` and from
-//! `fold_chunks` at 1 and 2 threads. Built with `--features alloc-count`
-//! (as `make alloc-smoke` does) the counting allocator is installed and
+//! The chunk inputs must fail with the same error from `ChunkReader` and
+//! from `fold_chunks` at 1 and 2 threads; the DNS headers with
+//! `DnsError::Truncated`. Built with `--features alloc-count` (as
+//! `make alloc-smoke` does) the counting allocator is installed and
 //! every call must also allocate at most 64 bytes per input byte.
 //! Without the feature the totals stay zero and only the errors are
 //! checked.
@@ -20,8 +25,10 @@
 //! process-global, and a concurrent test's allocations would bleed into
 //! the measured calls.
 
+use dohperf::dns::error::DnsError;
+use dohperf::dns::message::Message;
 use dohperf::store::checksum::crc32;
-use dohperf::store::{fold_chunks, ChunkReader, StoreError, CHUNK_MAGIC, FORMAT_VERSION};
+use dohperf::store::{fold_chunks, ChunkReader, CHUNK_MAGIC, FORMAT_VERSION};
 use dohperf::telemetry::alloc;
 
 #[cfg(feature = "alloc-count")]
@@ -46,7 +53,11 @@ fn header(record_count: u32, payload_len: u32, payload: &[u8]) -> Vec<u8> {
 
 /// Run `read` on `input` and return its error message, checking the
 /// bytes allocated during the call against the budget.
-fn failure(name: &str, input: &[u8], read: impl FnOnce(&[u8]) -> Option<StoreError>) -> String {
+fn failure<E: std::fmt::Display>(
+    name: &str,
+    input: &[u8],
+    read: impl FnOnce(&[u8]) -> Option<E>,
+) -> String {
     alloc::reset();
     let err = read(input);
     let bytes = alloc::totals().bytes;
@@ -87,5 +98,21 @@ fn crafted_chunks_fail_without_large_allocations() {
             );
             assert_eq!(folded, serial, "{case}: fold_chunks at {threads} threads");
         }
+    }
+
+    // Register the decoder's failure counter outside the measured calls:
+    // its one-time registry entry is not a per-input cost.
+    assert!(Message::decode(&[]).is_err());
+    for (case, counts) in [
+        ("forged question count", [u16::MAX, 0, 0, 0]),
+        ("forged answer count", [0, u16::MAX, 0, 0]),
+    ] {
+        let mut input = vec![0x12, 0x34, 0x01, 0x00];
+        for c in counts {
+            input.extend_from_slice(&c.to_be_bytes());
+        }
+        assert_eq!(input.len(), 12);
+        let err = failure(case, &input, |bytes| Message::decode(bytes).err());
+        assert_eq!(err, DnsError::Truncated.to_string(), "{case}");
     }
 }
