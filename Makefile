@@ -117,7 +117,7 @@ protocol-matrix:
 # (incl. cache.* and campaign.page_*) against their checked-in baseline
 # at tolerance 0, the rendered PLT report re-derived byte-identically
 # from the store, and the sampled flight-recorder trace byte-identical
-# to its committed golden.
+# to its committed golden at the default and a 5-client shard size.
 pageload-smoke:
 	mkdir -p target/ci
 	cargo run --release -p dohperf-bench --bin repro -- \
@@ -137,7 +137,11 @@ pageload-smoke:
 	    --trace-out target/ci/trace-pageload.json --trace-sample 128 pageload > /dev/null
 	cargo run --release -p dohperf-bench --bin trace-check -- target/ci/trace-pageload.json
 	cmp target/ci/trace-pageload.json ci/golden-trace-pageload.json
-	@echo "pageload smoke OK: metrics, store round-trip and golden trace all match"
+	cargo run --release -p dohperf-bench --bin repro -- \
+	    --seed 2021 --scale 0.02 --threads 2 --pages 2 --shard-size 5 \
+	    --trace-out target/ci/trace-pageload-s5.json --trace-sample 128 pageload > /dev/null
+	cmp target/ci/trace-pageload-s5.json ci/golden-trace-pageload.json
+	@echo "pageload smoke OK: metrics, store round-trip and golden trace (any shard size) all match"
 
 # Timeline smoke (DESIGN.md §16): a windowed campaign at scale 0.05
 # streamed through the columnar store (exercising the FLAG_TIMESERIES

@@ -17,8 +17,8 @@
 //! * [`logistic_model`] — Table 4: odds of slowdown under DoH-N.
 //! * [`linear_model`] — Tables 5 and 6: linear models of the raw delta.
 //! * [`render`] — plain-text table rendering for the `repro` binary.
-//! * [`streaming`] — memory-bounded headline/CDF analyses over a
-//!   columnar store directory, via mergeable quantile sketches.
+//! * [`streaming`] — the memory-bounded headline over a columnar store
+//!   directory, via mergeable quantile sketches.
 //! * [`transports`] — per-protocol (Do53/DoH/DoT/DoQ) lifecycle headline
 //!   tables and cold/warm/resumed CDFs for extended-transport campaigns.
 //! * [`timeline`] — per-window p50/p95/p99 latency, availability, and
@@ -60,10 +60,7 @@ pub use pop_improvement::{pop_improvement, PopImprovementStats};
 pub use regions::{region_summaries, regional_variation, RegionSummary};
 pub use report::full_report;
 pub use robustness::{covariate_correlations, headline_cis, CovariateCorrelations, HeadlineCis};
-pub use streaming::{
-    cdfs_from_store, cdfs_from_store_threads, headline_from_store, headline_from_store_threads,
-    StreamingCdfs, StreamingHeadline,
-};
+pub use streaming::{headline_from_store, StreamingHeadline};
 pub use timeline::{timeline, Timeline, TimelineCell};
 pub use transports::{
     transport_cdfs, transport_headlines, transport_provider_grid, TransportCdfs, TransportHeadline,

@@ -1,37 +1,28 @@
 //! Memory-bounded §5 analyses over the columnar store.
 //!
-//! The exact [`crate::headline`] and [`crate::cdfs`] paths materialise
-//! every sample in memory; at full scale that is fine, but the store
-//! exists so campaigns can outgrow RAM. This module re-derives the same
-//! summaries from a single sequential pass:
+//! The exact [`crate::headline`] path materialises every sample in
+//! memory; at full scale that is fine, but the store exists so campaigns
+//! can outgrow RAM. This module re-derives the same summary from a
+//! single sequential pass:
 //!
 //! * [`StreamingHeadline`] — an accumulator fed one [`ClientRecord`] at
 //!   a time. The speedup/tripled *fractions* use exact counters, so they
 //!   equal the batch path bit-for-bit; the *medians* come from
 //!   Greenwald–Khanna sketches ([`GkSketch`]) and are within the sketch's
 //!   ε of the true rank.
-//! * [`StreamingCdfs`] — per-provider DoH1/DoHR/Do53 quantile sketches,
-//!   rendered to the same [`ProviderCdfs`] panels as Figure 4 with a
-//!   fixed number of support points.
-//! * [`headline_from_store`] / [`cdfs_from_store`] — one-pass drivers
-//!   over a store directory; peak memory is one decoded chunk plus the
-//!   sketches.
+//! * [`headline_from_store`] — the one-pass driver over a store
+//!   directory; peak memory is one decoded chunk plus the sketches.
 
-use crate::cdfs::{CdfSeries, ProviderCdfs};
 use crate::headline::HeadlineStats;
 use dohperf_core::equations::doh_n_ms;
 use dohperf_core::records::ClientRecord;
 use dohperf_core::store_io;
-use dohperf_providers::provider::ALL_PROVIDERS;
 use dohperf_stats::desc::median;
 use dohperf_stats::sketch::GkSketch;
 use std::path::Path;
 
 /// Default sketch rank error for the streaming analyses.
 pub const DEFAULT_EPSILON: f64 = 0.005;
-
-/// Support points used when rendering a sketch to a [`CdfSeries`].
-const CDF_POINTS: usize = 512;
 
 /// Streaming accumulator for the §5 headline statistics.
 #[derive(Debug, Clone)]
@@ -200,94 +191,11 @@ fn atlas_median(atlas_do53_ms: &[(usize, Vec<f64>)], country_index: usize) -> Op
         })
 }
 
-/// Streaming accumulator for the Figure 4 per-provider CDF panels.
-#[derive(Debug, Clone)]
-pub struct StreamingCdfs {
-    do53: GkSketch,
-    /// One (DoH1, DoHR) sketch pair per provider, in `ALL_PROVIDERS` order.
-    providers: Vec<(GkSketch, GkSketch)>,
-}
-
-impl Default for StreamingCdfs {
-    fn default() -> Self {
-        StreamingCdfs::new()
-    }
-}
-
-impl StreamingCdfs {
-    /// An accumulator at the default ε.
-    pub fn new() -> Self {
-        StreamingCdfs::with_epsilon(DEFAULT_EPSILON)
-    }
-
-    /// An accumulator with a caller-chosen sketch rank error.
-    pub fn with_epsilon(epsilon: f64) -> Self {
-        StreamingCdfs {
-            do53: GkSketch::new(epsilon),
-            providers: ALL_PROVIDERS
-                .iter()
-                .map(|_| (GkSketch::new(epsilon), GkSketch::new(epsilon)))
-                .collect(),
-        }
-    }
-
-    /// Fold in one client record.
-    pub fn observe(&mut self, r: &ClientRecord) {
-        if let Some(d53) = r.do53_ms {
-            self.do53.insert(d53);
-        }
-        for (pi, &provider) in ALL_PROVIDERS.iter().enumerate() {
-            if let Some(s) = r.sample(provider) {
-                self.providers[pi].0.insert(s.t_doh_ms);
-                self.providers[pi].1.insert(s.t_dohr_ms);
-            }
-        }
-    }
-
-    /// Render the four panels with [`CDF_POINTS`] support points each.
-    pub fn finish(&self) -> Vec<ProviderCdfs> {
-        let do53 = series_of(&self.do53);
-        ALL_PROVIDERS
-            .iter()
-            .enumerate()
-            .map(|(pi, &provider)| ProviderCdfs {
-                provider,
-                doh1: series_of(&self.providers[pi].0),
-                dohr: series_of(&self.providers[pi].1),
-                do53: do53.clone(),
-            })
-            .collect()
-    }
-}
-
-/// Evenly spaced sketch quantiles as a [`CdfSeries`].
-fn series_of(sketch: &GkSketch) -> CdfSeries {
-    let pts = sketch.cdf_points(CDF_POINTS);
-    CdfSeries {
-        values: pts.iter().map(|&(v, _)| v).collect(),
-        probs: pts.iter().map(|&(_, q)| q).collect(),
-    }
-}
-
 /// One-pass headline statistics from a store directory.
 ///
 /// Peak memory: one decoded chunk plus the sketches — independent of
 /// the campaign's scale.
 pub fn headline_from_store(dir: &Path) -> dohperf_store::Result<HeadlineStats> {
-    headline_from_store_threads(dir, 1)
-}
-
-/// [`headline_from_store`] with `threads` decoder threads (0 means all
-/// available cores, 1 means fully serial).
-///
-/// Chunks are verified/decoded in parallel, but the accumulator folds
-/// them on the calling thread in canonical chunk order, so the result —
-/// every sketch insertion included — is identical to the serial pass at
-/// any thread count.
-pub fn headline_from_store_threads(
-    dir: &Path,
-    threads: usize,
-) -> dohperf_store::Result<HeadlineStats> {
     let manifest = store_io::read_manifest(dir)?;
     let atlas: Vec<(usize, Vec<f64>)> = manifest
         .atlas_do53_ms
@@ -295,7 +203,7 @@ pub fn headline_from_store_threads(
         .map(|(idx, xs)| (*idx as usize, xs.clone()))
         .collect();
     let mut acc = StreamingHeadline::new();
-    store_io::fold_chunks(dir, threads, |records| {
+    store_io::fold_chunks(dir, 1, |records| {
         for r in &records {
             acc.observe(r);
         }
@@ -304,32 +212,9 @@ pub fn headline_from_store_threads(
     Ok(acc.finish(&atlas))
 }
 
-/// One-pass Figure 4 panels from a store directory.
-pub fn cdfs_from_store(dir: &Path) -> dohperf_store::Result<Vec<ProviderCdfs>> {
-    cdfs_from_store_threads(dir, 1)
-}
-
-/// [`cdfs_from_store`] with `threads` decoder threads; the in-order
-/// fold makes the panels identical at any thread count (see
-/// [`headline_from_store_threads`]).
-pub fn cdfs_from_store_threads(
-    dir: &Path,
-    threads: usize,
-) -> dohperf_store::Result<Vec<ProviderCdfs>> {
-    let mut acc = StreamingCdfs::new();
-    store_io::fold_chunks(dir, threads, |records| {
-        for r in &records {
-            acc.observe(r);
-        }
-        Ok(())
-    })?;
-    Ok(acc.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cdfs::provider_cdfs;
     use crate::headline::headline_stats;
     use crate::testutil::shared_dataset;
 
@@ -422,42 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_cdfs_track_exact_panels() {
-        let ds = shared_dataset();
-        let exact = provider_cdfs(ds);
-        let mut acc = StreamingCdfs::new();
-        for r in &ds.records {
-            acc.observe(r);
-        }
-        let stream = acc.finish();
-        assert_eq!(stream.len(), exact.len());
-        for (s, e) in stream.iter().zip(&exact) {
-            assert_eq!(s.provider, e.provider);
-            for w in s.doh1.values.windows(2) {
-                assert!(w[0] <= w[1], "{}: values not monotone", s.provider);
-            }
-            close(
-                s.doh1.median(),
-                e.doh1.median(),
-                0.05,
-                &format!("{} doh1 median", s.provider),
-            );
-            close(
-                s.dohr.median(),
-                e.dohr.median(),
-                0.05,
-                &format!("{} dohr median", s.provider),
-            );
-            close(
-                s.do53.median(),
-                e.do53.median(),
-                0.05,
-                &format!("{} do53 median", s.provider),
-            );
-        }
-    }
-
-    #[test]
     fn store_drivers_reproduce_the_batch_analyses() {
         let ds = shared_dataset();
         let dir =
@@ -472,9 +321,6 @@ mod tests {
             exact.first_request_speedup_fraction
         );
         close(stream.median_doh1_ms, exact.median_doh1_ms, 0.05, "doh1");
-
-        let panels = cdfs_from_store(&dir).unwrap();
-        assert_eq!(panels.len(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,19 +1,7 @@
-//! Simulator-core benchmarks: event scheduling and latency sampling.
+//! Simulator-core benchmarks: latency sampling and geodesy.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dohperf_netsim::prelude::*;
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("schedule_and_run_1000_events", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(1);
-            for i in 0..1000u64 {
-                sim.schedule_at(SimTime::from_nanos(i * 37 % 5000), |_, _| {});
-            }
-            sim.run_to_completion()
-        })
-    });
-}
 
 fn bench_latency_model(c: &mut Criterion) {
     let mut sim = Simulator::new(2);
@@ -63,10 +51,5 @@ fn bench_geodesic(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_latency_model,
-    bench_geodesic
-);
+criterion_group!(benches, bench_latency_model, bench_geodesic);
 criterion_main!(benches);

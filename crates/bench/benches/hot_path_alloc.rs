@@ -1,6 +1,6 @@
 //! Hot-path micro-benchmarks for the zero-allocation work (DESIGN.md
 //! §12): the pooled/by-reference variants against their allocating
-//! ancestors, plus the timer-wheel event queue under a churn workload.
+//! ancestors.
 //!
 //! The full-campaign throughput number lives in `alloc_check` (and
 //! `BENCH_alloc.json`); these isolate where the win comes from.
@@ -10,7 +10,6 @@ use dohperf_core::testbed::{format_subdomain, SUBDOMAIN_BUF_LEN};
 use dohperf_dns::prelude::*;
 use dohperf_http::codec::{Method, Request};
 use dohperf_http::luminati::TunTimeline;
-use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::time::SimDuration;
 
 fn bench_dns_encode(c: &mut Criterion) {
@@ -83,31 +82,11 @@ fn bench_subdomain(c: &mut Criterion) {
     });
 }
 
-/// Timer-wheel churn: the schedule/advance/step cadence a campaign
-/// drives, far more near-future inserts than pops-in-order.
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_churn_1k", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(7);
-            for i in 0..1_000u64 {
-                sim.schedule_in(SimDuration::from_nanos((i * 37) % 4096 + 1), |_, _| {});
-                if i % 4 == 0 {
-                    let deadline = sim.now() + SimDuration::from_nanos(64);
-                    sim.run_until(deadline);
-                }
-            }
-            sim.run_to_completion();
-            black_box(sim.now())
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_dns_encode,
     bench_http_encode,
     bench_header_scratch,
-    bench_subdomain,
-    bench_event_queue
+    bench_subdomain
 );
 criterion_main!(benches);

@@ -21,9 +21,10 @@
 //! 2. **The stub cache.** A capacity-bounded [`DnsCache`] sits in the
 //!    resolution path: duplicate hostnames inside one page hit
 //!    intra-page, and warm revisits hit cross-page until TTLs expire. A
-//!    periodic timer-wheel tick sweeps expired entries during the visit.
+//!    periodic evict tick sweeps expired entries during the visit.
 //! 3. **Dependency scheduling.** Ready nodes resolve concurrently
-//!    through the simulator's timer wheel; a node becomes ready only
+//!    through the page's own event queue, a heap of typed
+//!    `PageEvent`s over the simulator clock; a node becomes ready only
 //!    when all its parents have resolved. PLT is therefore the last
 //!    completion time minus the visit start — the DAG's critical path
 //!    under whatever concurrency the dependency structure allows.
@@ -36,9 +37,9 @@
 //! same page in any shard layout. Execution consumes only the
 //! per-(client, transport, provider) fork handed to [`measure_page`]
 //! plus the simulator's checkpointed jitter streams; event ties break
-//! on insertion order, which is itself deterministic. The campaign
-//! wraps the whole block in `with_rng_checkpoint`, so enabling the
-//! workload never perturbs legacy or transports samples.
+//! on a per-page sequence number, which is itself deterministic. The
+//! campaign wraps the whole block in `with_rng_checkpoint`, so enabling
+//! the workload never perturbs legacy or transports samples.
 
 use dohperf_dns::cache::{CacheKey, DnsCache};
 use dohperf_dns::name::DnsName;
@@ -47,7 +48,6 @@ use dohperf_dns::record::ResourceRecord;
 use dohperf_dns::types::RecordType;
 use dohperf_netsim::connection::{Connection, DnsTransport};
 use dohperf_netsim::engine::Simulator;
-use dohperf_netsim::event::EventId;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::{SimDuration, SimTime};
 use dohperf_netsim::topology::NodeId;
@@ -56,9 +56,9 @@ use dohperf_providers::provider::ProviderKind;
 use dohperf_proxy::exitnode::ExitNode;
 use dohperf_proxy::lifecycle;
 use dohperf_telemetry::flight;
-use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 /// Fewest resolutions a page can need (root + a handful of assets).
 pub const MIN_PAGE_DOMAINS: usize = 4;
@@ -232,19 +232,27 @@ pub struct PageOutcome {
     pub queries: u32,
 }
 
-/// Mutable per-page state shared by the scheduled events.
-///
-/// The event closures hold `Rc` clones; each event borrows the state
-/// for its own duration only, and no event re-enters another, so the
-/// `RefCell` discipline is trivially upheld.
-struct PageRun {
-    exit: ExitNode,
+/// What a queued page event does when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum PageEvent {
+    /// Every parent of the node has resolved: start resolving it.
+    Ready(u16),
+    /// The node's resolution finishes.
+    Complete(u16),
+    /// Sweep expired cache entries; re-arms while the visit is active.
+    EvictTick,
+}
+
+/// Per-page state: the page, its connection-side parameters, the stub
+/// cache and the visit's event queue.
+struct PageRun<'a> {
+    exit: &'a ExitNode,
     pop: NodeId,
     auth: NodeId,
     provider: ProviderKind,
     transport: DnsTransport,
     extra_loss_p: f64,
-    model: PageModel,
+    model: &'a PageModel,
     /// Cache key per unique name (names are client-independent so the
     /// global label-intern arena stays bounded).
     keys: Vec<CacheKey>,
@@ -252,6 +260,10 @@ struct PageRun {
     cache: DnsCache,
     /// Connection generation of the current visit, for span attrs.
     generation: u32,
+    /// Pending events, earliest `(at, seq)` first; the per-page `seq`
+    /// breaks ties in scheduling order.
+    queue: BinaryHeap<Reverse<(SimTime, u64, PageEvent)>>,
+    next_seq: u64,
     // --- per-visit state, reset by `reset_visit` ---
     /// Unresolved parents per node; a node schedules when it hits 0.
     remaining: Vec<u32>,
@@ -259,9 +271,10 @@ struct PageRun {
     started_at: Vec<SimTime>,
     /// Whether each node's resolution was a cache hit.
     was_hit: Vec<bool>,
-    /// In-flight resolutions: (node, completion event, completion time).
-    /// TCP loss stalls rewrite this list wholesale.
-    in_flight: Vec<(u16, EventId, SimTime)>,
+    /// In-flight resolutions: (node, seq of its live completion,
+    /// completion time). A queued completion whose seq is not here was
+    /// superseded by a TCP loss stall and is skipped.
+    in_flight: Vec<(u16, u64, SimTime)>,
     /// Nodes resolved so far this visit.
     done: u32,
     /// Completion time of the latest resolution — PLT's right edge.
@@ -274,7 +287,7 @@ struct PageRun {
     recording: bool,
 }
 
-impl PageRun {
+impl PageRun<'_> {
     fn reset_visit(&mut self, start: SimTime) {
         let n = self.model.len();
         self.remaining.clear();
@@ -290,149 +303,165 @@ impl PageRun {
         self.last_done = start;
         self.active = true;
     }
+
+    /// Queue `event` to fire at `at` (never before `now`); returns its seq.
+    fn schedule(&mut self, now: SimTime, at: SimTime, event: PageEvent) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(Reverse((at, seq, event)));
+        if self.recording {
+            flight::event(
+                format!("netsim schedule #{seq} at {}ns", at.as_nanos()),
+                now.as_nanos(),
+            );
+        }
+        seq
+    }
+
+    /// Dispatch queued events in `(at, seq)` order until the queue
+    /// drains, moving the simulator clock to each event's time. Nothing
+    /// is queued before the clock, so on dispatch `sim.now() == at`.
+    fn run_visit(&mut self, sim: &mut Simulator) {
+        let _hot = dohperf_telemetry::alloc::hot_scope();
+        let mut dispatched = 0u64;
+        while let Some(Reverse((at, seq, event))) = self.queue.pop() {
+            if let PageEvent::Complete(_) = event {
+                let Some(pos) = self.in_flight.iter().position(|slot| slot.1 == seq) else {
+                    continue; // superseded by a stall: not an event
+                };
+                self.in_flight.swap_remove(pos);
+            }
+            sim.advance_to(at);
+            if self.recording {
+                flight::event("netsim dispatch event", at.as_nanos());
+            }
+            dispatched += 1;
+            match event {
+                PageEvent::Ready(node) => self.node_ready(sim, node, at),
+                PageEvent::Complete(node) => self.node_complete(node, at),
+                PageEvent::EvictTick => {
+                    if self.active {
+                        self.cache.evict_expired(cache_now(at));
+                        self.schedule(at, at + EVICT_TICK, PageEvent::EvictTick);
+                    }
+                }
+            }
+        }
+        dohperf_telemetry::counter!("netsim.events_dispatched").add(dispatched);
+    }
+
+    /// A node's dependencies are satisfied: resolve its hostname. Cache
+    /// hits answer locally; misses pay [`lifecycle::transport_query`],
+    /// multiplexed on the page's shared connection, with the loss
+    /// asymmetry lifted to page granularity: a TCP stall holds up every
+    /// in-flight sibling, QUIC and UDP stay stream-local. Queues the
+    /// completion event.
+    fn node_ready(&mut self, sim: &mut Simulator, node: u16, at: SimTime) {
+        self.started_at[node as usize] = at;
+        let name_id = self.model.name_of[node as usize] as usize;
+        let hit = self.cache.get(&self.keys[name_id], cache_now(at)).is_some();
+        self.was_hit[node as usize] = hit;
+        let mut stall_others = SimDuration::ZERO;
+        let elapsed = if hit {
+            self.cache_hits += 1;
+            // Local answer: stub processing only, no network.
+            SimDuration::from_millis_f64(self.rng.lognormal_median(0.2, 0.2))
+        } else {
+            self.queries += 1;
+            // Page hostnames are synthetic and per-campaign, so the
+            // provider's recursive cache never has them: full recursion.
+            let cost = lifecycle::transport_query(
+                sim,
+                self.exit,
+                self.pop,
+                self.auth,
+                self.provider,
+                self.transport,
+                self.extra_loss_p,
+                0.0,
+                &mut self.rng,
+            );
+            stall_others = cost.hol_stall;
+            cost.elapsed
+        };
+        if !hit {
+            dohperf_telemetry::counter!("campaign.page_queries").inc();
+        }
+        if stall_others > SimDuration::ZERO {
+            dohperf_telemetry::counter!("campaign.page_tcp_stalls").inc();
+            // Head-of-line blocking: push every in-flight sibling's
+            // completion out by the stall, re-queued under a fresh seq.
+            for i in 0..self.in_flight.len() {
+                let (sibling, _, due) = self.in_flight[i];
+                let due = due + stall_others;
+                let seq = self.schedule(at, due, PageEvent::Complete(sibling));
+                self.in_flight[i] = (sibling, seq, due);
+            }
+        }
+        let completes = at + elapsed;
+        let seq = self.schedule(at, completes, PageEvent::Complete(node));
+        self.in_flight.push((node, seq, completes));
+    }
+
+    /// A node's resolution finished: cache the answer, emit its span, and
+    /// release any children whose parents are now all resolved.
+    fn node_complete(&mut self, node: u16, at: SimTime) {
+        let name_id = self.model.name_of[node as usize] as usize;
+        if !self.was_hit[node as usize] {
+            // Filing an answer allocates its record vec and name clone:
+            // cache-fill work, exempt like the label arena's inserts.
+            let _fill = dohperf_telemetry::alloc::exempt_scope();
+            let ttl = self.model.ttl_of[name_id];
+            let key = &self.keys[name_id];
+            let answer = vec![ResourceRecord::new(
+                key.name.clone(),
+                ttl,
+                RData::A(Ipv4Addr::new(198, 51, 100, name_id as u8 + 1)),
+            )];
+            self.cache.insert(key.clone(), answer, cache_now(at), ttl);
+        }
+        if self.recording {
+            let span = flight::start_span(
+                "pageload",
+                format!("resolve n{node} r{name_id}"),
+                self.started_at[node as usize].as_nanos(),
+            );
+            flight::attr(span, "depth", self.model.depths[node as usize].to_string());
+            flight::attr(
+                span,
+                "cache",
+                if self.was_hit[node as usize] {
+                    "hit"
+                } else {
+                    "miss"
+                },
+            );
+            flight::attr(span, "generation", self.generation.to_string());
+            flight::end_span(span, at.as_nanos());
+        }
+        self.done += 1;
+        if at > self.last_done {
+            self.last_done = at;
+        }
+        if self.done == self.model.len() as u32 {
+            self.active = false;
+            return;
+        }
+        for child in (node as usize + 1)..self.model.len() {
+            if !self.model.parents_of(child).contains(&node) {
+                continue;
+            }
+            self.remaining[child] -= 1;
+            if self.remaining[child] == 0 {
+                self.schedule(at, at + PARSE_GAP, PageEvent::Ready(child as u16));
+            }
+        }
+    }
 }
 
 /// Whole seconds of simulated time — the cache's clock granularity.
 fn cache_now(at: SimTime) -> u64 {
     at.as_nanos() / 1_000_000_000
-}
-
-/// A node's dependencies are satisfied: resolve its hostname. Cache
-/// hits answer locally; misses pay [`lifecycle::transport_query`],
-/// multiplexed on the page's shared connection, with the loss
-/// asymmetry lifted to page granularity: a TCP stall holds up every
-/// in-flight sibling, QUIC and UDP stay stream-local. Schedules the
-/// completion event.
-fn node_ready(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, node: u16, at: SimTime) {
-    let mut s = run.borrow_mut();
-    let s = &mut *s;
-    s.started_at[node as usize] = at;
-    let name_id = s.model.name_of[node as usize] as usize;
-    let hit = s.cache.get(&s.keys[name_id], cache_now(at)).is_some();
-    s.was_hit[node as usize] = hit;
-    let mut stall_others = SimDuration::ZERO;
-    let elapsed = if hit {
-        s.cache_hits += 1;
-        let _hot = dohperf_telemetry::alloc::hot_scope();
-        // Local answer: stub processing only, no network.
-        SimDuration::from_millis_f64(s.rng.lognormal_median(0.2, 0.2))
-    } else {
-        s.queries += 1;
-        let _hot = dohperf_telemetry::alloc::hot_scope();
-        // Page hostnames are synthetic and per-campaign, so the
-        // provider's recursive cache never has them: full recursion.
-        let cost = lifecycle::transport_query(
-            sim,
-            &s.exit,
-            s.pop,
-            s.auth,
-            s.provider,
-            s.transport,
-            s.extra_loss_p,
-            0.0,
-            &mut s.rng,
-        );
-        stall_others = cost.hol_stall;
-        cost.elapsed
-    };
-    if !hit {
-        dohperf_telemetry::counter!("campaign.page_queries").inc();
-    }
-    if stall_others > SimDuration::ZERO {
-        dohperf_telemetry::counter!("campaign.page_tcp_stalls").inc();
-        // Head-of-line blocking: push every in-flight sibling's
-        // completion out by the stall and re-arm their events.
-        for slot in s.in_flight.iter_mut() {
-            sim.cancel(slot.1);
-            slot.2 += stall_others;
-            let sibling = slot.0;
-            let rc = run.clone();
-            slot.1 = sim.schedule_at(slot.2, move |sim, t| node_complete(sim, &rc, sibling, t));
-        }
-    }
-    let completes = at + elapsed;
-    let rc = run.clone();
-    let ev = sim.schedule_at(completes, move |sim, t| node_complete(sim, &rc, node, t));
-    s.in_flight.push((node, ev, completes));
-}
-
-/// A node's resolution finished: cache the answer, emit its span, and
-/// release any children whose parents are now all resolved.
-fn node_complete(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, node: u16, at: SimTime) {
-    let mut s = run.borrow_mut();
-    let s = &mut *s;
-    if let Some(pos) = s.in_flight.iter().position(|slot| slot.0 == node) {
-        s.in_flight.swap_remove(pos);
-    }
-    let name_id = s.model.name_of[node as usize] as usize;
-    if !s.was_hit[node as usize] {
-        let ttl = s.model.ttl_of[name_id];
-        let key = &s.keys[name_id];
-        let answer = vec![ResourceRecord::new(
-            key.name.clone(),
-            ttl,
-            RData::A(Ipv4Addr::new(198, 51, 100, name_id as u8 + 1)),
-        )];
-        s.cache.insert(key.clone(), answer, cache_now(at), ttl);
-    }
-    if s.recording {
-        let span = flight::start_span(
-            "pageload",
-            format!("resolve n{node} r{name_id}"),
-            s.started_at[node as usize].as_nanos(),
-        );
-        flight::attr(span, "depth", s.model.depths[node as usize].to_string());
-        flight::attr(
-            span,
-            "cache",
-            if s.was_hit[node as usize] {
-                "hit"
-            } else {
-                "miss"
-            },
-        );
-        flight::attr(span, "generation", s.generation.to_string());
-        flight::end_span(span, at.as_nanos());
-    }
-    s.done += 1;
-    if at > s.last_done {
-        s.last_done = at;
-    }
-    if s.done == s.model.len() as u32 {
-        s.active = false;
-        return;
-    }
-    for child in (node as usize + 1)..s.model.len() {
-        let parents = s.model.parents_of(child);
-        if !parents.contains(&node) {
-            continue;
-        }
-        s.remaining[child] -= 1;
-        if s.remaining[child] == 0 {
-            let rc = run.clone();
-            let c = child as u16;
-            sim.schedule_at(at + PARSE_GAP, move |sim, t| node_ready(sim, &rc, c, t));
-        }
-    }
-}
-
-/// Re-arming expired-entry sweep: runs every [`EVICT_TICK`] while the
-/// visit is active, then lets the queue drain (the per-client epoch
-/// asserts an empty queue, so nothing may keep re-arming forever).
-fn schedule_evict_tick(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, at: SimTime) {
-    let rc = run.clone();
-    sim.schedule_at(at, move |sim, t| {
-        let still_active = {
-            let mut s = rc.borrow_mut();
-            if s.active {
-                s.cache.evict_expired(cache_now(t));
-            }
-            s.active
-        };
-        if still_active {
-            schedule_evict_tick(sim, &rc, t + EVICT_TICK);
-        }
-    });
 }
 
 /// Measure one page over one (client, provider, transport) triple:
@@ -476,18 +505,22 @@ pub fn measure_page(
         .collect();
 
     let mut conn = Connection::new(transport);
-    let run = Rc::new(RefCell::new(PageRun {
-        exit: exit.clone(),
+    let mut run = PageRun {
+        exit,
         pop,
         auth,
         provider,
         transport,
         extra_loss_p,
-        model: model.clone(),
+        model,
         keys,
         rng: rng.fork("page-run"),
         cache: DnsCache::with_capacity(PAGE_CACHE_CAPACITY),
         generation: 0,
+        // One live event per node plus the evict tick; stalls add stale
+        // completions on top.
+        queue: BinaryHeap::with_capacity(2 * n + 1),
+        next_seq: 0,
         remaining: Vec::with_capacity(n),
         started_at: Vec::with_capacity(n),
         was_hit: Vec::with_capacity(n),
@@ -498,7 +531,7 @@ pub fn measure_page(
         cache_hits: 0,
         queries: 0,
         recording,
-    }));
+    };
 
     let page_span = if recording {
         flight::start_span(
@@ -532,47 +565,36 @@ pub fn measure_page(
         } else {
             flight::SpanToken::NOOP
         };
-        let hits_before;
-        {
-            let mut s = run.borrow_mut();
-            let s = &mut *s;
-            hits_before = s.cache_hits;
-            s.reset_visit(visit_start);
-            // Sweep entries that expired during the think-time gap so
-            // the eviction counter sees them deterministically.
-            s.cache.evict_expired(cache_now(visit_start));
-            // Cold visits bootstrap the provider hostname, then pay the
-            // full handshake. Warm visits re-acquire inside the
-            // keep-alive window for free.
-            if visit == 0 {
-                let boot = lifecycle::bootstrap(sim, &s.exit, pop, provider, transport, &mut s.rng);
-                sim.advance(boot);
-            }
-            let acq = conn.acquire(sim.now());
-            s.generation = acq.generation;
-            let handshake =
-                lifecycle::handshake_bill(sim, &s.exit, pop, transport, acq.warmth, &mut s.rng);
-            sim.advance(handshake);
-            s.last_done = sim.now();
-            if recording {
-                flight::attr(visit_span, "warmth", acq.warmth.name());
-                flight::attr(visit_span, "generation", acq.generation.to_string());
-            }
+        let hits_before = run.cache_hits;
+        run.reset_visit(visit_start);
+        // Sweep entries that expired during the think-time gap so the
+        // eviction counter sees them deterministically.
+        run.cache.evict_expired(cache_now(visit_start));
+        // Cold visits bootstrap the provider hostname, then pay the full
+        // handshake. Warm visits re-acquire inside the keep-alive window
+        // for free.
+        if visit == 0 {
+            let boot = lifecycle::bootstrap(sim, exit, pop, provider, transport, &mut run.rng);
+            sim.advance(boot);
+        }
+        let acq = conn.acquire(sim.now());
+        run.generation = acq.generation;
+        let handshake =
+            lifecycle::handshake_bill(sim, exit, pop, transport, acq.warmth, &mut run.rng);
+        sim.advance(handshake);
+        run.last_done = sim.now();
+        if recording {
+            flight::attr(visit_span, "warmth", acq.warmth.name());
+            flight::attr(visit_span, "generation", acq.generation.to_string());
         }
         let root_at = sim.now();
-        let rc = run.clone();
-        sim.schedule_at(root_at, move |sim, t| node_ready(sim, &rc, 0, t));
-        schedule_evict_tick(sim, &run, root_at + EVICT_TICK);
-        sim.run_to_completion();
+        run.schedule(root_at, root_at, PageEvent::Ready(0));
+        run.schedule(root_at, root_at + EVICT_TICK, PageEvent::EvictTick);
+        run.run_visit(sim);
 
-        let (plt_ms, visit_hits) = {
-            let s = run.borrow();
-            debug_assert_eq!(s.done, n as u32, "every page node must resolve");
-            (
-                s.last_done.saturating_since(visit_start).as_millis_f64(),
-                s.cache_hits - hits_before,
-            )
-        };
+        debug_assert_eq!(run.done, n as u32, "every page node must resolve");
+        let plt_ms = run.last_done.saturating_since(visit_start).as_millis_f64();
+        let visit_hits = run.cache_hits - hits_before;
         if visit == 0 {
             plt_cold_ms = plt_ms;
             cold_hits = visit_hits;
@@ -589,13 +611,12 @@ pub fn measure_page(
         flight::end_span(page_span, sim.now().as_nanos());
     }
 
-    let s = run.borrow();
     PageOutcome {
         plt_cold_ms,
         plt_warm_ms: median(&mut warm_plts),
         cold_cache_hits: cold_hits,
-        warm_cache_hits: s.cache_hits - cold_hits,
-        queries: s.queries,
+        warm_cache_hits: run.cache_hits - cold_hits,
+        queries: run.queries,
     }
 }
 

@@ -170,7 +170,7 @@ impl DnsCache {
     }
 
     /// Remove every expired entry eagerly; returns how many were evicted.
-    /// Campaigns call this from a periodic timer-wheel tick so long runs
+    /// Page loads call this from a periodic evict tick so long visits
     /// stay bounded even when lookups never touch stale keys.
     pub fn evict_expired(&mut self, now: u64) -> usize {
         let before = self.entries.len();

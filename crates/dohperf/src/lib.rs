@@ -10,7 +10,7 @@
 //! deterministic simulation and implements the paper's methodology,
 //! validation and analyses on top of it:
 //!
-//! * [`netsim`] — the discrete-event network simulator substrate.
+//! * [`netsim`] — the deterministic network simulator substrate.
 //! * [`dns`] — the DNS wire format, caching and RFC 8484 DoH payloads.
 //! * [`http`] — HTTP/1.1, CONNECT tunnels, BrightData timing headers,
 //!   TLS handshake modelling.

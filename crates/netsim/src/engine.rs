@@ -1,12 +1,10 @@
 //! The simulation engine.
 //!
-//! [`Simulator`] owns the clock, topology, latency model, trace log and the
-//! future-event list. Most measurement code samples RTTs and advances the
-//! clock directly; the event queue exists for concurrent workloads (e.g.
-//! many clients measured in one simulated campaign) and for timer-driven
-//! protocol behaviour.
+//! [`Simulator`] owns the clock, topology, latency model and trace log.
+//! Measurement code samples RTTs and advances the clock directly; the
+//! one event-driven workload, the page-load DAG, runs its own typed
+//! queue over this clock (`dohperf_core::pageload`).
 
-use crate::event::{EventId, EventQueue};
 use crate::latency::{LatencyModel, PathModel};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -14,18 +12,13 @@ use crate::topology::{NodeId, NodeSpec, Topology};
 use crate::trace::{PacketDirection, PacketRecord, TraceLog};
 use dohperf_telemetry::flight;
 
-/// Callback type fired by the engine.
-pub type Action = Box<dyn FnOnce(&mut Simulator, SimTime)>;
-
-/// A deterministic discrete-event network simulator.
+/// A deterministic network simulator.
 pub struct Simulator {
     now: SimTime,
     topology: Topology,
     path: PathModel,
     rng: SimRng,
     trace: TraceLog,
-    queue: EventQueue<Simulator>,
-    executed_events: u64,
 }
 
 impl Simulator {
@@ -39,8 +32,6 @@ impl Simulator {
             path: PathModel::new(rng.fork("path")),
             rng: rng.fork("engine"),
             trace: TraceLog::disabled(),
-            queue: EventQueue::new(),
-            executed_events: 0,
         }
     }
 
@@ -114,17 +105,8 @@ impl Simulator {
     /// This is the primitive behind sub-country campaign sharding: a
     /// client measured as the first item of a shard sees bit-identical
     /// streams to the same client measured mid-shard (DESIGN.md §14).
-    ///
-    /// Panics if events are still pending — an epoch boundary with live
-    /// timers would mean cross-epoch leakage.
     pub fn begin_epoch(&mut self, epoch: &SimRng) {
-        assert!(
-            self.queue.is_empty(),
-            "begin_epoch with {} events pending",
-            self.queue.len()
-        );
         self.now = SimTime::ZERO;
-        self.queue.reset_time();
         self.path.rejitter(epoch.fork("path"));
         self.rng = epoch.fork("engine");
     }
@@ -202,71 +184,6 @@ impl Simulator {
             self.now = at;
         }
     }
-
-    /// Schedule an action `delay` after now.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F) -> EventId
-    where
-        F: FnOnce(&mut Simulator, SimTime) + 'static,
-    {
-        let at = self.now + delay;
-        self.schedule_at(at, action)
-    }
-
-    /// Schedule an action at an absolute instant.
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut Simulator, SimTime) + 'static,
-    {
-        let id = self.queue.schedule(at, action);
-        if flight::active() {
-            flight::event(
-                format!("netsim schedule {id:?} at {}ns", at.as_nanos()),
-                self.now.as_nanos(),
-            );
-        }
-        id
-    }
-
-    /// Cancel a scheduled action.
-    pub fn cancel(&mut self, id: EventId) {
-        self.queue.cancel(id);
-    }
-
-    /// Run events until the queue drains or `deadline` passes. Returns the
-    /// number of events executed.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut executed = 0;
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let (at, action) = self.queue.pop().expect("peeked event vanished");
-            self.advance_to(at);
-            if flight::active() {
-                flight::event("netsim dispatch event", at.as_nanos());
-            }
-            action(self, at);
-            executed += 1;
-            self.executed_events += 1;
-        }
-        dohperf_telemetry::counter!("netsim.events_dispatched").add(executed);
-        executed
-    }
-
-    /// Run events until the queue is empty.
-    pub fn run_to_completion(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Total events executed over the simulator's lifetime.
-    pub fn executed_events(&self) -> u64 {
-        self.executed_events
-    }
-
-    /// Pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -297,38 +214,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_millis(5));
         sim.advance_to(SimTime::from_millis(3)); // backwards jump ignored
         assert_eq!(sim.now(), SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn events_fire_in_order_and_advance_clock() {
-        let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |s, at| {
-            assert_eq!(s.now(), at);
-            s.schedule_in(SimDuration::from_millis(5), |_, _| {});
-        });
-        let n = sim.run_to_completion();
-        assert_eq!(n, 2);
-        assert_eq!(sim.now(), SimTime::from_millis(15));
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |_, _| {});
-        sim.schedule_in(SimDuration::from_millis(100), |_, _| {});
-        let n = sim.run_until(SimTime::from_millis(50));
-        assert_eq!(n, 1);
-        assert_eq!(sim.pending_events(), 1);
-    }
-
-    #[test]
-    fn cancelled_event_skipped() {
-        let (mut sim, _, _) = sim_with_pair();
-        let id = sim.schedule_in(SimDuration::from_millis(10), |_, _| {
-            panic!("cancelled event fired")
-        });
-        sim.cancel(id);
-        assert_eq!(sim.run_to_completion(), 0);
     }
 
     #[test]
@@ -388,27 +273,5 @@ mod tests {
         let base = sim.base_rtt(a, b);
         sim.begin_epoch(&SimRng::new(99).fork("e"));
         assert_eq!(sim.base_rtt(a, b), base);
-    }
-
-    #[test]
-    #[should_panic(expected = "begin_epoch with")]
-    fn begin_epoch_rejects_pending_events() {
-        let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |_, _| {});
-        sim.begin_epoch(&SimRng::new(1));
-    }
-
-    #[test]
-    fn epoch_reset_allows_rescheduling_from_time_zero() {
-        let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |_, _| {});
-        sim.run_to_completion();
-        assert_eq!(sim.now(), SimTime::from_millis(10));
-        sim.begin_epoch(&SimRng::new(2));
-        sim.schedule_in(SimDuration::from_millis(5), |s, at| {
-            assert_eq!(at, SimTime::from_millis(5));
-            assert_eq!(s.now(), SimTime::from_millis(5));
-        });
-        assert_eq!(sim.run_to_completion(), 1);
     }
 }

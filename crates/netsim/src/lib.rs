@@ -1,6 +1,6 @@
 //! # dohperf-netsim
 //!
-//! A deterministic, discrete-event network simulator that serves as the
+//! A deterministic network simulator that serves as the
 //! substrate for the `dohperf` reproduction of *"Measuring DNS-over-HTTPS
 //! Performance Around the World"* (IMC 2021).
 //!
@@ -10,11 +10,11 @@
 //! crate recreates it as a simulation with three design goals borrowed from
 //! `smoltcp`:
 //!
-//! 1. **Simplicity and robustness** over cleverness: the engine is a binary
-//!    heap of timestamped events plus a seeded RNG; there are no macro or
-//!    type-level tricks.
+//! 1. **Simplicity and robustness** over cleverness: the engine is a
+//!    virtual clock that measurement code advances directly, plus a seeded
+//!    RNG; there are no macro or type-level tricks.
 //! 2. **Determinism**: every run with the same seed yields bit-identical
-//!    event orderings and latencies, so experiments are exactly repeatable.
+//!    timestamps and latencies, so experiments are exactly repeatable.
 //! 3. **Observability**: an opt-in packet trace records every simulated
 //!    exchange, the analogue of a capture on a controlled host.
 //!
@@ -24,8 +24,8 @@
 //!   resolution.
 //! * [`rng`] — deterministic random streams with stable per-component
 //!   sub-seeding.
-//! * [`event`] / [`engine`] — the discrete-event core: schedule closures at
-//!   future instants and run them in timestamp order.
+//! * [`engine`] — the [`Simulator`]: clock, topology, path model, packet
+//!   trace and checkpointable random streams.
 //! * [`topology`] — nodes with geographic positions and roles.
 //! * [`latency`] — the generative latency model: geodesic propagation,
 //!   infrastructure-dependent path inflation, last-mile distributions.
@@ -50,7 +50,6 @@
 
 pub mod connection;
 pub mod engine;
-pub mod event;
 pub mod latency;
 pub mod rng;
 pub mod time;
@@ -59,7 +58,6 @@ pub mod trace;
 
 pub use connection::{Acquired, Connection, DnsTransport, Warmth};
 pub use engine::Simulator;
-pub use event::{EventId, EventQueue};
 pub use latency::{InfraProfile, LatencyModel, PathModel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -44,9 +44,12 @@ impl Registry {
         G: Fn(&Entry) -> Option<&'static T>,
     {
         let mut inner = self.inner.lock().expect("registry poisoned");
-        let (entry, have_det) = inner
-            .entry(name.to_string())
-            .or_insert_with(|| (make(), det));
+        // Look up by `&str` first: a call site fetching an already
+        // registered metric must not allocate an owned key.
+        if !inner.contains_key(name) {
+            inner.insert(name.to_string(), (make(), det));
+        }
+        let (entry, have_det) = &inner[name];
         match extract(entry) {
             Some(metric) => {
                 assert!(

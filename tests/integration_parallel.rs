@@ -115,21 +115,32 @@ fn pageload_campaign_is_thread_and_shard_invariant() {
     // The page-load workload (synthetic dependency DAGs resolved over
     // multiplexed connections, cold + warm visits through the bounded
     // DNS cache) rides the same per-client simulation epochs as the
-    // lifecycle probes, so its PLT samples must be byte-identical across
-    // the full (threads × shard-size) matrix too.
+    // lifecycle probes, so its PLT samples — and the sampled flight
+    // traces of its page events — must be byte-identical across the full
+    // (threads × shard-size) matrix too.
     let _guard = SERIAL.lock().unwrap();
     let pageload_config = |threads: usize, shard_size: usize| CampaignConfig {
         pages_per_client: 2,
         ..matrix_config(2021, threads, shard_size)
+    };
+    let traced = |threads: usize, shard_size: usize| {
+        let campaign = Campaign::new(pageload_config(threads, shard_size)).with_trace_sampling(16);
+        let ds = campaign.run();
+        (ds, perfetto::to_chrome_trace(&campaign.take_traces()))
     };
     let reference = Campaign::new(pageload_config(1, usize::MAX)).run();
     assert!(
         reference.records.iter().all(|r| r.pages.len() == 16),
         "expected 4 transports x 4 providers of page samples per record"
     );
+    let (_, reference_trace) = traced(1, usize::MAX);
+    assert!(
+        reference_trace.contains("netsim schedule"),
+        "sampled traces should carry page events"
+    );
     for threads in MATRIX_THREADS {
         for shard_size in MATRIX_SHARDS {
-            let cell = Campaign::new(pageload_config(threads, shard_size)).run();
+            let (cell, cell_trace) = traced(threads, shard_size);
             assert_eq!(
                 reference.records, cell.records,
                 "records (incl. page samples) diverged at threads={threads} \
@@ -139,6 +150,10 @@ fn pageload_campaign_is_thread_and_shard_invariant() {
                 to_jsonl(&reference),
                 to_jsonl(&cell),
                 "JSONL diverged at threads={threads} shard_size={shard_size}"
+            );
+            assert!(
+                reference_trace == cell_trace,
+                "page trace export diverged at threads={threads} shard_size={shard_size}"
             );
         }
     }
